@@ -9,6 +9,11 @@ commutative, so ``A ⋈ B`` and ``B ⋈ A`` merge.
 
 Attribute names flowing through operator trees are fully qualified
 (``"Product.Pid"``); the SQL translator guarantees this.
+
+Because no node changes after construction, derived structural facts —
+the signature, the left-to-right ``leaves``, the ``leaf_names`` set and
+the post-order ``join_conjuncts`` — are computed lazily once and cached
+in slots on the node itself, each from its children's cached values.
 """
 
 from __future__ import annotations
@@ -26,13 +31,24 @@ from repro.errors import AlgebraError
 class Operator:
     """Base class for logical operators."""
 
-    __slots__ = ("_children", "_schema", "_signature", "_hash")
+    __slots__ = (
+        "_children",
+        "_schema",
+        "_signature",
+        "_hash",
+        "_leaves",
+        "_leaf_names",
+        "_join_conjuncts",
+    )
 
     def __init__(self, children: Tuple["Operator", ...], schema: RelationSchema):
         self._children = children
         self._schema = schema
         self._signature: Optional[str] = None
         self._hash: Optional[int] = None
+        self._leaves: Optional[Tuple["Relation", ...]] = None
+        self._leaf_names: Optional[FrozenSet[str]] = None
+        self._join_conjuncts: Optional[Tuple[Expression, ...]] = None
 
     @property
     def children(self) -> Tuple["Operator", ...]:
@@ -64,16 +80,41 @@ class Operator:
     def is_leaf(self) -> bool:
         return not self._children
 
+    @property
+    def leaves(self) -> Tuple["Relation", ...]:
+        """Every base-relation leaf of this subtree, left to right."""
+        if self._leaves is None:
+            self._leaves = tuple(
+                leaf for child in self._children for leaf in child.leaves
+            )
+        return self._leaves
+
+    @property
+    def leaf_names(self) -> FrozenSet[str]:
+        """Names of every base relation in this subtree."""
+        if self._leaf_names is None:
+            self._leaf_names = frozenset().union(
+                *(child.leaf_names for child in self._children)
+            )
+        return self._leaf_names
+
+    @property
+    def join_conjuncts(self) -> Tuple[Expression, ...]:
+        """Conjuncts of every join condition in this subtree (post-order)."""
+        if self._join_conjuncts is None:
+            self._join_conjuncts = tuple(
+                conjunct
+                for child in self._children
+                for conjunct in child.join_conjuncts
+            ) + self._own_join_conjuncts()
+        return self._join_conjuncts
+
+    def _own_join_conjuncts(self) -> Tuple[Expression, ...]:
+        return ()
+
     def base_relations(self) -> FrozenSet[str]:
         """Names of every base relation in this subtree."""
-        out = set()
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, Relation):
-                out.add(node.name)
-            stack.extend(node.children)
-        return frozenset(out)
+        return self.leaf_names
 
     def walk(self) -> Iterator["Operator"]:
         """Post-order traversal (children before parents)."""
@@ -118,6 +159,8 @@ class Relation(Operator):
     def __init__(self, name: str, schema: RelationSchema):
         super().__init__((), schema)
         self.name = name
+        self._leaves = (self,)
+        self._leaf_names = frozenset((name,))
 
     def _compute_signature(self) -> str:
         return f"rel({self.name})"
@@ -252,6 +295,9 @@ class Join(Operator):
     @property
     def right(self) -> Operator:
         return self._children[1]
+
+    def _own_join_conjuncts(self) -> Tuple[Expression, ...]:
+        return P.conjuncts(self.condition)
 
     def _compute_signature(self) -> str:
         cond = self.condition.signature if self.condition is not None else "true"

@@ -26,7 +26,7 @@ def find_by_signature(root: Operator, signature: str) -> Optional[Operator]:
 
 def leaves(root: Operator) -> List[Relation]:
     """All base-relation leaves of the tree (left-to-right order)."""
-    return [node for node in root.walk() if isinstance(node, Relation)]
+    return list(root.leaves)
 
 
 def replace(root: Operator, target_signature: str, replacement: Operator) -> Operator:

@@ -13,7 +13,7 @@ names automatically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.catalog.datatypes import DataType
@@ -31,15 +31,16 @@ class Attribute:
 
     ``name`` may be qualified (``"Product.name"``) for attributes of
     derived relations whose unqualified name would collide.
+    ``short_name`` (the text after the last dot) is derived once at
+    construction and excluded from equality, hashing and ``repr``.
     """
 
     name: str
     datatype: DataType
+    short_name: str = field(init=False, compare=False, repr=False)
 
-    @property
-    def short_name(self) -> str:
-        """The unqualified attribute name (text after the last dot)."""
-        return self.name.rsplit(".", 1)[-1]
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "short_name", self.name.rsplit(".", 1)[-1])
 
     def qualified(self, relation: str) -> "Attribute":
         """A copy of this attribute qualified with ``relation``."""
@@ -64,6 +65,7 @@ class RelationSchema:
             seen.add(attribute.name)
         self._name = name
         self._attributes: Tuple[Attribute, ...] = tuple(attributes)
+        self._attribute_names = tuple(a.name for a in self._attributes)
         self._by_name: Dict[str, Attribute] = {a.name: a for a in self._attributes}
         # Unqualified lookup index: short name -> attributes carrying it.
         self._by_short: Dict[str, List[Attribute]] = {}
@@ -80,7 +82,7 @@ class RelationSchema:
 
     @property
     def attribute_names(self) -> Tuple[str, ...]:
-        return tuple(a.name for a in self._attributes)
+        return self._attribute_names
 
     @property
     def arity(self) -> int:

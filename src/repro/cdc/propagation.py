@@ -186,9 +186,7 @@ class PropagationGraph:
             for relation in sorted(view.base_relations):
                 by_relation.setdefault(relation, []).append(name)
                 references = sum(
-                    1
-                    for node in view.plan.walk()
-                    if isinstance(node, Relation) and node.name == relation
+                    1 for leaf in view.plan.leaves if leaf.name == relation
                 )
                 if has_aggregate:
                     rule = EdgeRule(name, relation, MODE_RECOMPUTE, "aggregate")

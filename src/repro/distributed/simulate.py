@@ -25,7 +25,6 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.algebra import predicates as P
 from repro.algebra.expressions import ColumnRef, Comparison, Literal
-from repro.algebra.operators import Relation
 from repro.distributed.partition import (
     HASH,
     RANGE,
@@ -130,7 +129,6 @@ def choose_schemes(
     counts: Dict[Tuple[str, str], int] = {}
     for spec in workload.queries:
         plan = parse_query(spec.sql, workload.catalog)
-        leaves = [n for n in plan.walk() if isinstance(n, Relation)]
         for node in plan.walk():
             predicate = getattr(node, "predicate", None)
             if predicate is None:
@@ -144,7 +142,7 @@ def choose_schemes(
                     continue
                 if not isinstance(conjunct.right, Literal):
                     continue
-                for leaf in leaves:
+                for leaf in plan.leaves:
                     try:
                         resolved = leaf.schema.attribute(conjunct.left.name)
                     except Exception:

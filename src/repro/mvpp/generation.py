@@ -21,7 +21,7 @@ cheapest design.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro import obs
 from repro.algebra import predicates as P
@@ -33,7 +33,6 @@ from repro.algebra.operators import (
     select_if,
 )
 from repro.algebra.rewrite import PulledPlan, pull_up
-from repro.algebra.tree import leaves as tree_leaves
 from repro.errors import MVPPError
 from repro.mvpp.config import (
     DEFAULT_DESIGN_CONFIG,
@@ -43,7 +42,7 @@ from repro.mvpp.config import (
 from repro.mvpp.cost import PER_PERIOD, CostBreakdown, CostCache, MVPPCostCalculator
 from repro.mvpp.graph import MVPP, Vertex
 from repro.parallel.executor import SerialExecutor, resolve_executor
-from repro.mvpp.merge import merge_skeletons, skeleton_join_conjuncts
+from repro.mvpp.merge import merge_skeletons
 from repro.optimizer.cardinality import CardinalityEstimator
 from repro.optimizer.cost_model import CostModel, DEFAULT_COST_MODEL
 from repro.optimizer.heuristics import optimize_query
@@ -54,12 +53,23 @@ from repro.workload.spec import QuerySpec, Workload
 
 @dataclass
 class QueryPlanInfo:
-    """A query with its individually-optimal plan, normalized for merging."""
+    """A query with its individually-optimal plan, normalized for merging.
+
+    The push-down inputs of steps 5/6 depend only on the query, not on
+    the merge order, so they are derived once here rather than in every
+    rotation: ``leaf_conjuncts`` maps a leaf name to the selection
+    conjuncts over that leaf alone, ``residual_conjuncts`` holds the
+    conjuncts spanning several leaves, and ``leaf_needs`` maps a leaf
+    name to the attributes of that leaf the query uses anywhere above it.
+    """
 
     spec: QuerySpec
     plan: Operator
     pulled: PulledPlan
     access_cost: float  # Ca of the optimal plan
+    leaf_conjuncts: Dict[str, Tuple[Expression, ...]]
+    residual_conjuncts: Tuple[Expression, ...]
+    leaf_needs: Dict[str, FrozenSet[str]]
 
     @property
     def rank(self) -> float:
@@ -82,12 +92,17 @@ def prepare_queries(
                 plan = optimize_query(raw, estimator, cost_model)
                 annotated = AnnotatedPlan(plan, estimator, cost_model)
                 span.set(access_cost=annotated.total_cost)
+                pulled = pull_up(plan)
+                per_leaf, residual = _leaf_conjuncts(pulled)
                 infos.append(
                     QueryPlanInfo(
                         spec=spec,
                         plan=plan,
-                        pulled=pull_up(plan),
+                        pulled=pulled,
                         access_cost=annotated.total_cost,
+                        leaf_conjuncts=per_leaf,
+                        residual_conjuncts=residual,
+                        leaf_needs=_leaf_needs(pulled),
                     )
                 )
     return infos
@@ -203,16 +218,16 @@ def generate_mvpps(
 # steps 5/6: leaf-level push-down
 # ---------------------------------------------------------------------------
 def _leaf_conjuncts(
-    info: QueryPlanInfo,
-) -> Tuple[Dict[str, List[Expression]], List[Expression]]:
+    pulled: PulledPlan,
+) -> Tuple[Dict[str, Tuple[Expression, ...]], Tuple[Expression, ...]]:
     """Split a query's selection conjuncts per leaf; rest are residual-only."""
     per_leaf: Dict[str, List[Expression]] = {}
     residual_only: List[Expression] = []
     leaf_columns = {
         leaf.name: set(leaf.schema.attribute_names)
-        for leaf in tree_leaves(info.pulled.skeleton)
+        for leaf in pulled.skeleton.leaves
     }
-    for conjunct in P.conjuncts(info.pulled.selection):
+    for conjunct in P.conjuncts(pulled.selection):
         owner = next(
             (
                 name
@@ -225,27 +240,32 @@ def _leaf_conjuncts(
             residual_only.append(conjunct)
         else:
             per_leaf.setdefault(owner, []).append(conjunct)
-    return per_leaf, residual_only
+    return (
+        {name: tuple(conjs) for name, conjs in per_leaf.items()},
+        tuple(residual_only),
+    )
 
 
-def _needed_from_leaf(info: QueryPlanInfo, leaf: Relation) -> Set[str]:
-    """Attributes of ``leaf`` this query needs anywhere above it."""
+def _leaf_needs(pulled: PulledPlan) -> Dict[str, FrozenSet[str]]:
+    """Per leaf name, the attributes of that leaf the query needs above it."""
     needed: Set[str] = set()
-    leaf_columns = set(leaf.schema.attribute_names)
-    if info.pulled.aggregate is not None:
-        needed |= set(info.pulled.aggregate.group_by)
+    if pulled.aggregate is not None:
+        needed |= set(pulled.aggregate.group_by)
         needed |= {
             s.attribute
-            for s in info.pulled.aggregate.aggregates
+            for s in pulled.aggregate.aggregates
             if s.attribute is not None
         }
     else:
-        needed |= set(info.pulled.projection)
-    if info.pulled.selection is not None:
-        needed |= info.pulled.selection.columns()
-    for predicate in skeleton_join_conjuncts(info.pulled.skeleton):
+        needed |= set(pulled.projection)
+    if pulled.selection is not None:
+        needed |= pulled.selection.columns()
+    for predicate in pulled.skeleton.join_conjuncts:
         needed |= predicate.columns()
-    return needed & leaf_columns
+    return {
+        leaf.name: frozenset(needed.intersection(leaf.schema.attribute_names))
+        for leaf in pulled.skeleton.leaves
+    }
 
 
 def _leaf_stems(
@@ -257,11 +277,11 @@ def _leaf_stems(
     conjunction of conditions on that relation (TRUE when any sharing
     query filters nothing).  Projection: the union of attributes any
     sharing query needs, plus join attributes (collected inside
-    :func:`_needed_from_leaf`).
+    :func:`_leaf_needs`).
     """
     leaf_nodes: Dict[str, Relation] = {}
     for skeleton in merged.values():
-        for leaf in tree_leaves(skeleton):
+        for leaf in skeleton.leaves:
             leaf_nodes[leaf.name] = leaf
 
     stems: Dict[str, Operator] = {}
@@ -269,12 +289,11 @@ def _leaf_stems(
         terms: List[Optional[Expression]] = []
         union_attrs: Set[str] = set()
         for info in infos:
-            if leaf_name not in {l.name for l in tree_leaves(merged[info.spec.name])}:
+            if leaf_name not in merged[info.spec.name].leaf_names:
                 continue
-            per_leaf, _ = _leaf_conjuncts(info)
-            mine = per_leaf.get(leaf_name, [])
+            mine = info.leaf_conjuncts.get(leaf_name)
             terms.append(P.conjunction(mine) if mine else None)
-            union_attrs |= _needed_from_leaf(info, leaf)
+            union_attrs |= info.leaf_needs[leaf_name]
         condition = P.disjunction(terms) if terms else None
         stem: Operator = select_if(leaf, condition)
         if union_attrs:
@@ -292,9 +311,8 @@ def _assemble_pushed(
     """Rebuild one query over the stemmed leaves and re-apply residuals."""
     skeleton = _replace_leaves(merged[info.spec.name], stems, {})
 
-    per_leaf, residual_only = _leaf_conjuncts(info)
-    residuals: List[Expression] = list(residual_only)
-    for leaf_name, conjs in per_leaf.items():
+    residuals: List[Expression] = list(info.residual_conjuncts)
+    for leaf_name, conjs in info.leaf_conjuncts.items():
         stem = stems[leaf_name]
         pushed = _stem_condition(stem)
         for conjunct in conjs:

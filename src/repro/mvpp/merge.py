@@ -19,23 +19,18 @@ different conditions would change the query's meaning.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import obs
 from repro.algebra import predicates as P
 from repro.algebra.expressions import Expression
-from repro.algebra.operators import Join, Operator, Relation
-from repro.algebra.tree import leaves as tree_leaves
+from repro.algebra.operators import Join, Operator
 from repro.errors import MVPPError
 
 
-def skeleton_join_conjuncts(skeleton: Operator) -> List[Expression]:
+def skeleton_join_conjuncts(skeleton: Operator) -> Tuple[Expression, ...]:
     """All join-condition conjuncts attached to joins of a skeleton."""
-    out: List[Expression] = []
-    for node in skeleton.walk():
-        if isinstance(node, Join) and node.condition is not None:
-            out.extend(P.conjuncts(node.condition))
-    return out
+    return skeleton.join_conjuncts
 
 
 class SkeletonPool:
@@ -53,7 +48,7 @@ class SkeletonPool:
                 self._nodes.append(node)
 
     def reusable_pieces(
-        self, leaf_names: Set[str], predicates: Sequence[Expression]
+        self, leaf_names: AbstractSet[str], predicates: Sequence[Expression]
     ) -> List[Operator]:
         """Greedy maximal cover of ``leaf_names`` by existing join nodes.
 
@@ -67,7 +62,7 @@ class SkeletonPool:
         for position, node in enumerate(self._nodes):
             if not isinstance(node, Join):
                 continue
-            node_leaves = {leaf.name for leaf in tree_leaves(node)}
+            node_leaves = node.leaf_names
             if not node_leaves <= leaf_names:
                 continue
             if not self._conditions_match(node, predicates, predicate_signatures):
@@ -91,7 +86,7 @@ class SkeletonPool:
         query_signatures: Set[str],
     ) -> bool:
         """Node reusable iff its predicates == query's predicates over its leaves."""
-        node_signatures = {p.signature for p in skeleton_join_conjuncts(node)}
+        node_signatures = {p.signature for p in node.join_conjuncts}
         if not node_signatures <= query_signatures:
             return False
         node_columns = set(node.schema.attribute_names)
@@ -127,27 +122,24 @@ def merge_skeletons(
 
 
 def _merge_one(skeleton: Operator, pool: SkeletonPool) -> Operator:
-    plan_leaves = tree_leaves(skeleton)
-    leaf_names = {leaf.name for leaf in plan_leaves}
-    predicates = skeleton_join_conjuncts(skeleton)
-
-    pieces = pool.reusable_pieces(leaf_names, predicates)
+    predicates = skeleton.join_conjuncts
+    pieces = pool.reusable_pieces(skeleton.leaf_names, predicates)
     if obs.enabled():
         registry = obs.metrics()
         registry.counter("generation.reuse_hits").inc(len(pieces))
         registry.counter("generation.reuse_covered_leaves").inc(
-            sum(len(tree_leaves(piece)) for piece in pieces)
+            sum(len(piece.leaves) for piece in pieces)
         )
         if not pieces:
             registry.counter("generation.reuse_misses").inc()
-    covered = {leaf.name for piece in pieces for leaf in tree_leaves(piece)}
-    for leaf in plan_leaves:
+    covered = frozenset().union(*(piece.leaf_names for piece in pieces))
+    for leaf in skeleton.leaves:
         if leaf.name not in covered:
             pieces.append(leaf)
 
     if len(pieces) == 1:
         return pieces[0]
-    return _join_pieces(pieces, predicates, first_leaf=plan_leaves[0].name)
+    return _join_pieces(pieces, predicates, first_leaf=skeleton.leaves[0].name)
 
 
 def _join_pieces(
@@ -158,11 +150,7 @@ def _join_pieces(
     pending = list(predicates)
 
     start = next(
-        (
-            p
-            for p in remaining
-            if first_leaf in {leaf.name for leaf in tree_leaves(p)}
-        ),
+        (p for p in remaining if first_leaf in p.leaf_names),
         remaining[0],
     )
     remaining.remove(start)
@@ -170,7 +158,7 @@ def _join_pieces(
 
     # Drop predicates already satisfied inside the pieces.
     def internal(piece: Operator) -> Set[str]:
-        return {p.signature for p in skeleton_join_conjuncts(piece)}
+        return {p.signature for p in piece.join_conjuncts}
 
     satisfied = internal(current)
     for piece in remaining:

@@ -12,9 +12,8 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.algebra import predicates as P
-from repro.algebra.operators import Operator, Relation, project_if, select_if
+from repro.algebra.operators import Operator, project_if, select_if
 from repro.algebra.rewrite import pull_up, push_down_projections
-from repro.algebra.tree import leaves as tree_leaves
 from repro.optimizer.cardinality import CardinalityEstimator
 from repro.optimizer.cost_model import CostModel, DEFAULT_COST_MODEL
 from repro.optimizer.join_order import MAX_DP_RELATIONS, best_join_tree
@@ -41,13 +40,11 @@ def optimize_query(
     # Split the residual selection into join predicates (for the join
     # enumerator), per-leaf selections, and whatever spans several leaves.
     selections, joins = P.split_selection_and_join(pulled.selection)
-    skeleton_joins = _skeleton_join_predicates(pulled.skeleton)
-    join_predicates = list(joins) + skeleton_joins
+    join_predicates = list(joins) + list(pulled.skeleton.join_conjuncts)
 
-    leaf_nodes = tree_leaves(pulled.skeleton)
     leaf_plans: List[Operator] = []
     remaining = list(selections)
-    for leaf in leaf_nodes:
+    for leaf in pulled.skeleton.leaves:
         columns = set(leaf.schema.attribute_names)
         mine = [s for s in remaining if s.columns() <= columns]
         for predicate in mine:
@@ -79,12 +76,3 @@ def annotate(
     return AnnotatedPlan(plan, estimator, cost_model)
 
 
-def _skeleton_join_predicates(skeleton: Operator) -> List:
-    """All join-condition conjuncts attached to joins in a skeleton."""
-    out = []
-    from repro.algebra.operators import Join
-
-    for node in skeleton.walk():
-        if isinstance(node, Join) and node.condition is not None:
-            out.extend(P.conjuncts(node.condition))
-    return out

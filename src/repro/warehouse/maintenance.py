@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional
 
 from repro import obs
-from repro.algebra.operators import Aggregate, Operator, Project, Relation
+from repro.algebra.operators import Aggregate, Operator, Project
 from repro.errors import DeltaSchemaError, WarehouseError
 from repro.executor.engine import Database, ExecutionEngine
 from repro.executor.physical import charge_materialize
@@ -162,11 +162,7 @@ class ViewMaintainer:
             )
         if any(isinstance(node, Aggregate) for node in view.plan.walk()):
             return self.materialize(view)
-        references = sum(
-            1
-            for node in view.plan.walk()
-            if isinstance(node, Relation) and node.name == relation
-        )
+        references = sum(1 for leaf in view.plan.leaves if leaf.name == relation)
         if references > 1:
             return self.materialize(view)
         distinct_plan = any(

@@ -332,8 +332,8 @@ class ShardManager:
         survives into the view's schema)."""
         schemes: Dict[str, PartitionScheme] = dict(self.schemes)
         by_name = {v.name: v for v in self.warehouse.views}
-        for leaf in plan.walk():
-            if not isinstance(leaf, Relation) or leaf.name not in by_name:
+        for leaf in plan.leaves:
+            if leaf.name not in by_name:
                 continue
             view = by_name[leaf.name]
             base = self.copartition_base(view)
@@ -375,8 +375,8 @@ class ShardManager:
         else:
             surviving = {
                 node.name: schemes[node.name].all_shards
-                for node in plan.walk()
-                if isinstance(node, Relation) and node.name in schemes
+                for node in plan.leaves
+                if node.name in schemes
             }
         database = self.warehouse.database
         overrides: Dict[str, Table] = {}
@@ -417,9 +417,7 @@ class ShardManager:
         # table to fall back to.
         by_name = {v.name: v for v in self.warehouse.views}
         surviving = dict(surviving)
-        for node in plan.walk():
-            if not isinstance(node, Relation):
-                continue
+        for node in plan.leaves:
             name = node.name
             if name in overrides or name in database or name in surviving:
                 continue
