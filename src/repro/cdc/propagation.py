@@ -1,14 +1,18 @@
 """The delta propagation graph: base-relation changes → view deltas.
 
 Compiled once per installed design from the view plans (the MVPP's
-materialized vertices), this module generalizes the single-view delta
-rules of :class:`repro.warehouse.maintenance.ViewMaintainer` into a
-graph of per-edge propagation operators: one base-relation delta fans
-out to every affected view in one pass, and subplans shared by several
-views evaluate their delta **once** (materialized to a transient
+materialized vertices), this module lifts the single-view delta rules
+of :mod:`repro.warehouse.maintenance` into a graph of per-edge
+propagation operators: one base-relation delta fans out to every
+affected view in one pass, and subplans shared by several views
+evaluate their delta **once** (materialized to a transient
 ``__cdc_shared_*`` table and substituted into each consumer).
 
-Per-edge classification mirrors the maintainer's fallbacks exactly:
+Each edge's rule *is* the maintainer's rule
+(:func:`~repro.warehouse.maintenance.edge_rule`, which batch
+``apply_update(policy="incremental")`` consults too), and deltas are
+evaluated by its :func:`~repro.warehouse.maintenance.evaluate_overlay`.
+The rules:
 
 ========================  =======================================
 plan shape                rule
@@ -33,19 +37,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.algebra.operators import (
-    Aggregate,
-    Join,
-    Operator,
-    Project,
-    Relation,
-    Select,
-)
+from repro.algebra.operators import Join, Operator, Project, Relation, Select
 from repro.errors import StreamingError
 from repro.executor.engine import Database, ExecutionEngine
 from repro.executor.physical import charge_materialize
 from repro.storage.table import Table
-from repro.warehouse.maintenance import OverlayDatabase
+from repro.warehouse.maintenance import (
+    MODE_DELTA,
+    MODE_RECOMPUTE,
+    EdgeRule,
+    delta_table,
+    edge_rule,
+    evaluate_overlay,
+)
 from repro.warehouse.view import MaterializedView
 
 __all__ = [
@@ -59,32 +63,9 @@ __all__ = [
     "substitute_subtree",
 ]
 
-MODE_DELTA = "delta"
-MODE_RECOMPUTE = "recompute"
-
 #: Name prefix for transient shared-delta tables (never registered in
 #: the warehouse catalog; they live only inside one overlay).
 SHARED_PREFIX = "__cdc_shared"
-
-
-@dataclass(frozen=True)
-class EdgeRule:
-    """How a delta of ``relation`` reaches ``view``."""
-
-    view: str
-    relation: str
-    mode: str  # MODE_DELTA or MODE_RECOMPUTE
-    reason: str = ""  # "aggregate" | "self-join" when recompute
-    distinct: bool = False  # DISTINCT view: dedup inserts, recompute deletes
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "view": self.view,
-            "relation": self.relation,
-            "mode": self.mode,
-            "reason": self.reason,
-            "distinct": self.distinct,
-        }
 
 
 @dataclass(frozen=True)
@@ -176,27 +157,9 @@ class PropagationGraph:
     def _compile(self) -> None:
         by_relation: Dict[str, List[str]] = {}
         for name, view in self.views.items():
-            has_aggregate = any(
-                isinstance(node, Aggregate) for node in view.plan.walk()
-            )
-            distinct = any(
-                isinstance(node, Project) and node.distinct
-                for node in view.plan.walk()
-            )
             for relation in sorted(view.base_relations):
                 by_relation.setdefault(relation, []).append(name)
-                references = sum(
-                    1 for leaf in view.plan.leaves if leaf.name == relation
-                )
-                if has_aggregate:
-                    rule = EdgeRule(name, relation, MODE_RECOMPUTE, "aggregate")
-                elif references > 1:
-                    rule = EdgeRule(name, relation, MODE_RECOMPUTE, "self-join")
-                else:
-                    rule = EdgeRule(
-                        name, relation, MODE_DELTA, distinct=distinct
-                    )
-                self._edges[(name, relation)] = rule
+                self._edges[(name, relation)] = edge_rule(view, relation)
         self._affected = {
             relation: tuple(sorted(names))
             for relation, names in by_relation.items()
@@ -321,28 +284,6 @@ class DeltaPropagator:
         self.database = database
         self.engine = engine
 
-    # ------------------------------------------------------------ evaluation
-    def _delta_table(
-        self, relation: str, rows: Sequence[Mapping[str, Any]]
-    ) -> Table:
-        base = self.database.table(relation)
-        delta = Table(base.schema, base.blocking_factor, io=self.database.io)
-        for row in rows:
-            delta.insert(row)
-        return delta
-
-    def _evaluate(
-        self, plan: Operator, overrides: Dict[str, Table]
-    ) -> List[Dict[str, Any]]:
-        overlay = OverlayDatabase(self.database, overrides)
-        delta_engine = ExecutionEngine(
-            overlay,
-            self.engine.join_method,
-            engine=self.engine.engine,
-            batch_size=self.engine.batch_size,
-        )
-        return delta_engine.execute(plan).rows()
-
     def propagate(
         self,
         relation: str,
@@ -373,8 +314,9 @@ class DeltaPropagator:
         if not targets or (not inserts and not deletes):
             return deltas
 
-        delta_ins = self._delta_table(relation, inserts) if inserts else None
-        delta_del = self._delta_table(relation, deletes) if deletes else None
+        database = self.database
+        delta_ins = delta_table(database, relation, inserts) if inserts else None
+        delta_del = delta_table(database, relation, deletes) if deletes else None
 
         # Shared subplans active for this batch: groups with >= 2 of the
         # target views.  Their delta is evaluated once per direction and
@@ -385,21 +327,21 @@ class DeltaPropagator:
             if len(group) >= 2:
                 active[shared.signature] = shared
 
-        for direction, delta_table in (
-            ("insert", delta_ins), ("delete", delta_del)
-        ):
-            if delta_table is None:
+        for direction, delta in (("insert", delta_ins), ("delete", delta_del)):
+            if delta is None:
                 continue
             base_overrides = dict(rewinds)
-            base_overrides[relation] = delta_table
+            base_overrides[relation] = delta
             shared_tables: Dict[str, Tuple[str, Table]] = {}
             for sig, shared in sorted(active.items()):
                 subplan = self.graph.shared_subplan(relation, sig)
-                rows = self._evaluate(subplan, base_overrides)
+                rows = evaluate_overlay(
+                    database, self.engine, subplan, base_overrides
+                ).rows()
                 table = Table(
                     subplan.schema,
-                    self.database.table(relation).blocking_factor,
-                    io=self.database.io,
+                    database.table(relation).blocking_factor,
+                    io=database.io,
                 )
                 table.insert_many(rows, count_io=False)
                 charge_materialize(table)
@@ -420,12 +362,16 @@ class DeltaPropagator:
                     )
                     overrides = dict(rewinds)
                     overrides[shared_name] = table
-                    rows = self._evaluate(plan, overrides)
+                    rows = evaluate_overlay(
+                        database, self.engine, plan, overrides
+                    ).rows()
                     deltas[name].shared_used = tuple(
                         sorted(set(deltas[name].shared_used) | {shared_name})
                     )
                 else:
-                    rows = self._evaluate(view.plan, base_overrides)
+                    rows = evaluate_overlay(
+                        database, self.engine, view.plan, base_overrides
+                    ).rows()
                 if direction == "insert":
                     deltas[name].insert_rows.extend(rows)
                 else:

@@ -31,6 +31,7 @@ from typing import Dict, List, Mapping, Optional
 
 from repro.cdc.policy import DEFAULT_STREAMING_POLICY, StreamingPolicy
 from repro.errors import StreamingError
+from repro.storage.table import row_multiset
 
 __all__ = ["StreamingSimulationResult", "simulate_streaming"]
 
@@ -244,13 +245,13 @@ def simulate_streaming(
     for view in warehouse.views:
         stored = warehouse.database.table(view.name)
         recomputed = warehouse.engine.execute(view.plan).rows()
-        if _row_multiset(stored.rows()) != _row_multiset(recomputed):
+        if row_multiset(stored.rows()) != row_multiset(recomputed):
             result.consistency_violations += 1
         committed = warehouse.committed_cardinality(view.name)
         if committed is not None and committed != stored.cardinality:
             result.partial_writes += 1
         digest.update(view.name.encode())
-        digest.update(repr(_row_multiset(stored.rows())).encode())
+        digest.update(repr(row_multiset(stored.rows())).encode())
     result.converged = (
         report.converged
         and not warehouse.stale_views()
@@ -268,9 +269,3 @@ def simulate_streaming(
     )
     result.digest = digest.hexdigest()[:12]
     return result
-
-
-def _row_multiset(rows):
-    return sorted(
-        tuple(sorted(row.items(), key=lambda kv: kv[0])) for row in rows
-    )

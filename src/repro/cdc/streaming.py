@@ -31,6 +31,7 @@ property ``tests/cdc`` pins with hypothesis, on both engines).
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -52,6 +53,7 @@ from repro.cdc.propagation import (
 from repro.errors import ReproError, StreamingError
 from repro.storage.block import IOSnapshot
 from repro.storage.table import Table
+from repro.warehouse.maintenance import commit_delta
 
 __all__ = ["StreamingMaintainer", "DrainReport"]
 
@@ -505,21 +507,21 @@ class StreamingMaintainer:
         interrupts it, falls back to per-view propagation so one failing
         view degrades alone instead of taking the whole run down."""
         injector = self.warehouse.fault_injector
-        names = [view.name for view in targets]
+
+        def guarded():
+            if injector is None:
+                return nullcontext()
+            return injector.maintenance()
 
         def propagate(view_names: Sequence[str]) -> Dict[str, ViewDelta]:
-            if injector is not None:
-                with injector.maintenance():
-                    return self.propagator.propagate(
-                        relation, inserts, deletes, view_names, rewinds
-                    )
-            return self.propagator.propagate(
-                relation, inserts, deletes, view_names, rewinds
-            )
+            with guarded():
+                return self.propagator.propagate(
+                    relation, inserts, deletes, view_names, rewinds
+                )
 
         deltas: Dict[str, ViewDelta] = {}
         try:
-            deltas = propagate(names)
+            deltas = propagate([view.name for view in targets])
         except ReproError:
             for view in targets:
                 try:
@@ -538,10 +540,7 @@ class StreamingMaintainer:
                     need_recompute[view.name] = "fault"
                 continue
             try:
-                if injector is not None:
-                    with injector.maintenance():
-                        self._commit_delta(view, relation, delta)
-                else:
+                with guarded():
                     self._commit_delta(view, relation, delta)
             except ReproError as exc:
                 need_recompute[view.name] = "fault"
@@ -556,35 +555,20 @@ class StreamingMaintainer:
     def _commit_delta(self, view: Any, relation: str, delta: ViewDelta) -> None:
         """Atomically swap the view to (stored − deletes) + inserts."""
         warehouse = self.warehouse
-        database = warehouse.database
-        stored = database.table(view.name)
-        shadow = Table(stored.schema, stored.blocking_factor, io=database.io)
-        shadow.insert_many(stored.rows(), count_io=False)
-        if delta.delete_rows:
-            shadow.delete_many(delta.delete_rows, count_io=True)
-        insert_rows = delta.insert_rows
         rule = self.graph.rule(view.name, relation)
-        if rule is not None and rule.distinct and insert_rows:
-            names = shadow.schema.attribute_names
-            existing = {
-                tuple(row[n] for n in names) for row in shadow.rows()
-            }
-            deduped = []
-            for row in insert_rows:
-                key = tuple(row[n] for n in names)
-                if key not in existing:
-                    existing.add(key)
-                    deduped.append(row)
-            insert_rows = deduped
-        if insert_rows:
-            shadow.insert_many(insert_rows, count_io=True)
-        database.register(view.name, shadow)
+        shadow, inserted = commit_delta(
+            warehouse.database,
+            view.name,
+            delta.insert_rows,
+            delta.delete_rows,
+            distinct=rule is not None and rule.distinct,
+        )
         warehouse.engine.indexes.invalidate(view.name)
         warehouse.engine.build_cache.invalidate(view.name)
         warehouse._committed_cards[view.name] = shadow.cardinality
         self._journal(
             "cdc.apply", view=view.name, relation=relation,
-            inserted=len(insert_rows), deleted=len(delta.delete_rows),
+            inserted=inserted, deleted=len(delta.delete_rows),
             rows_after=shadow.cardinality,
         )
         if obs.enabled():

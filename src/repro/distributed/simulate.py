@@ -34,6 +34,7 @@ from repro.distributed.partition import (
 from repro.errors import DistributedError
 from repro.mvpp.config import DesignConfig
 from repro.sql.translator import parse_query
+from repro.storage.table import row_multiset
 from repro.workload.spec import Workload
 
 __all__ = ["ShardingSimulationResult", "choose_schemes", "simulate_sharding"]
@@ -224,12 +225,6 @@ def _is_numeric(
 # Simulation
 # ---------------------------------------------------------------------------
 
-def _canonical_rows(table) -> Tuple[Tuple[Tuple[str, Any], ...], ...]:
-    return tuple(
-        sorted(tuple(sorted(row.items())) for row in table.rows())
-    )
-
-
 def _build_warehouse(
     workload: Workload,
     rows: Mapping[str, Sequence[Mapping[str, Any]]],
@@ -311,8 +306,8 @@ def simulate_sharding(
     for spec in workload.queries:
         pruned = warehouse.serve(spec.name, prune=True)
         unpruned = warehouse.serve(spec.name, prune=False)
-        identical = _canonical_rows(pruned.table) == _canonical_rows(
-            unpruned.table
+        identical = row_multiset(pruned.table.rows()) == row_multiset(
+            unpruned.table.rows()
         )
         rows_identical &= identical
         is_selective = pruned.partitions_pruned > 0
@@ -361,8 +356,8 @@ def simulate_sharding(
             ].all_shards:
                 name = f"{view.name}#{shard}"
                 if name in wh.database:
-                    fingerprint[name] = _canonical_rows(
-                        wh.database.table(name)
+                    fingerprint[name] = row_multiset(
+                        wh.database.table(name).rows()
                     )
         io = wh.database.io.snapshot()
         return stale, outcomes, fingerprint, (io.reads, io.writes)

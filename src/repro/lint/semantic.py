@@ -588,7 +588,8 @@ def check_streamable_edges(ctx: SemanticContext) -> Iterator[Diagnostic]:
                 f"every base-relation delta "
                 f"({', '.join(reasons) or 'no delta rule applies'}); "
                 f"streaming maintenance degrades it to batch refresh on "
-                f"each drain",
+                f"each drain, and batch policy='incremental' recomputes "
+                f"it on every update",
                 hint="materialize a delta-friendly ancestor instead, or "
                 "exclude the view from the streaming tier",
             )

@@ -22,6 +22,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 from repro.resilience.config import ResilienceConfig
 from repro.resilience.faults import FaultInjector, FaultPolicy
 from repro.resilience.scheduler import RefreshScheduler
+from repro.storage.table import row_multiset
 
 __all__ = ["FaultSimulationResult", "simulate_faults"]
 
@@ -181,12 +182,12 @@ def _consistent(warehouse, query_name: str, served) -> bool:
 
     if served.max_staleness == 0 and not served.degraded:
         fresh, _ = warehouse.execute(query_name, use_views=False)
-        return _same_rows(served.table.rows(), fresh.rows())
+        return row_multiset(served.table.rows()) == row_multiset(fresh.rows())
     if served.degraded or not served.views_used:
         # Degraded answers come straight from base relations: they must
         # equal the fresh answer exactly.
         fresh, _ = warehouse.execute(query_name, use_views=False)
-        return _same_rows(served.table.rows(), fresh.rows())
+        return row_multiset(served.table.rows()) == row_multiset(fresh.rows())
     # Stale-but-consistent: the answer is complete w.r.t. the snapshot
     # the views committed last.  We verify no partially-refreshed view
     # was read: each used view's stored cardinality must match the
@@ -200,12 +201,3 @@ def _consistent(warehouse, query_name: str, served) -> bool:
         ):
             return False
     return True
-
-
-def _same_rows(a: List[Mapping[str, object]], b: List[Mapping[str, object]]) -> bool:
-    def key(rows):
-        return sorted(
-            tuple(sorted(row.items(), key=lambda kv: kv[0])) for row in rows
-        )
-
-    return key(a) == key(b)

@@ -9,7 +9,7 @@ table's :class:`IOCounter`.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.catalog.schema import RelationSchema
 from repro.errors import StorageError
@@ -199,3 +199,9 @@ def table_from_rows(
     table = Table(schema, blocking_factor, io)
     table.insert_many(rows, count_io=False)
     return table
+
+
+def row_multiset(rows: Iterable[Mapping[str, Any]]) -> List[Tuple[Tuple[str, Any], ...]]:
+    """``rows`` as a sorted list of sorted items: equal exactly when the two
+    row bags are (the lifecycle simulators' row-equality oracle)."""
+    return sorted(tuple(sorted(row.items())) for row in rows)

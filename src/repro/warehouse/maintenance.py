@@ -7,12 +7,16 @@ views is provided as the extension the paper's future-work section points
 at, and is ablated in ``benchmarks/bench_ablation_maintenance.py``:
 cheaper refresh shifts the weight formula's ``Cm`` term and can flip
 materialization decisions.
+
+The delta rules live here once, for this batch path and the streaming
+path in :mod:`repro.cdc` alike: :func:`edge_rule`, :func:`evaluate_overlay`
+and :func:`commit_delta`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional
+from dataclasses import asdict, dataclass
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.algebra.operators import Aggregate, Operator, Project
@@ -25,6 +29,9 @@ from repro.warehouse.view import MaterializedView
 
 RECOMPUTE = "recompute"
 INCREMENTAL = "incremental"
+
+MODE_DELTA = "delta"
+MODE_RECOMPUTE = RECOMPUTE
 
 
 def validate_delta_rows(
@@ -57,6 +64,109 @@ def validate_delta_rows(
             )
         out.append(row)
     return out
+
+
+@dataclass(frozen=True)
+class EdgeRule:
+    """How a delta of ``relation`` reaches ``view``."""
+
+    view: str
+    relation: str
+    mode: str  # MODE_DELTA or MODE_RECOMPUTE
+    reason: str = ""  # "aggregate" | "self-join" when recompute
+    distinct: bool = False  # DISTINCT view: dedup inserts, recompute deletes
+
+    def to_dict(self) -> Dict[str, Any]:
+        return asdict(self)
+
+
+def edge_rule(view: MaterializedView, relation: str) -> EdgeRule:
+    """Classify the (``view``, ``relation``) maintenance edge.
+
+    An SPJ view that references ``relation`` once takes the linear delta
+    ``δV = plan[R := δR]``.  Aggregate views recompute (no counting
+    state is kept), as do *self-join* views: substituting the delta for
+    every occurrence of ``relation`` would evaluate ``δR ⋈ δR`` instead
+    of ``δR ⋈ R  ∪  R_old ⋈ δR``, silently dropping rows.  A view with a
+    duplicate-eliminating projection dedups inserted rows against the
+    store; its delete deltas need counting state and recompute instead.
+    """
+    plan = view.plan
+    if any(isinstance(node, Aggregate) for node in plan.walk()):
+        return EdgeRule(view.name, relation, MODE_RECOMPUTE, "aggregate")
+    if sum(1 for leaf in plan.leaves if leaf.name == relation) > 1:
+        return EdgeRule(view.name, relation, MODE_RECOMPUTE, "self-join")
+    distinct = any(
+        isinstance(node, Project) and node.distinct for node in plan.walk()
+    )
+    return EdgeRule(view.name, relation, MODE_DELTA, distinct=distinct)
+
+
+def delta_table(
+    database: Database, relation: str, rows: Iterable[Mapping[str, Any]]
+) -> Table:
+    """A transient table holding ``rows`` in ``relation``'s schema."""
+    base = database.table(relation)
+    delta = Table(base.schema, base.blocking_factor, io=database.io)
+    for row in rows:
+        delta.insert(row)
+    return delta
+
+
+def evaluate_overlay(
+    database: Database,
+    engine: ExecutionEngine,
+    plan: Operator,
+    overrides: Mapping[str, Table],
+) -> Table:
+    """Execute ``plan`` with ``engine``'s settings as if ``overrides``
+    replaced those tables of ``database`` (whose I/O counter is charged).
+
+    A delta table in place of a base relation evaluates its delta rule;
+    sharded serving substitutes shard unions the same way.
+    """
+    overlay = OverlayDatabase(database, overrides)
+    return ExecutionEngine(
+        overlay,
+        engine.join_method,
+        engine=engine.engine,
+        batch_size=engine.batch_size,
+    ).execute(plan)
+
+
+def commit_delta(
+    database: Database,
+    view_name: str,
+    insert_rows: Sequence[Mapping[str, Any]],
+    delete_rows: Sequence[Mapping[str, Any]] = (),
+    distinct: bool = False,
+) -> Tuple[Table, int]:
+    """Atomically swap ``view_name`` to (stored − deletes) + inserts.
+
+    The delta is applied to a shadow copy that replaces the stored table
+    only once fully built, so concurrent readers never observe a
+    partially-refreshed view.  A ``distinct`` view inserts only rows not
+    already stored, preserving set semantics.  Returns the new table and
+    the number of rows inserted.
+    """
+    stored = database.table(view_name)
+    shadow = Table(stored.schema, stored.blocking_factor, io=database.io)
+    shadow.insert_many(stored.rows(), count_io=False)
+    if delete_rows:
+        shadow.delete_many(delete_rows, count_io=True)
+    if distinct and insert_rows:
+        names = shadow.schema.attribute_names
+        existing = {tuple(row[n] for n in names) for row in shadow.rows()}
+        deduped = []
+        for row in insert_rows:
+            key = tuple(row[n] for n in names)
+            if key not in existing:
+                existing.add(key)
+                deduped.append(row)
+        insert_rows = deduped
+    added = shadow.insert_many(insert_rows, count_io=True) if insert_rows else 0
+    database.register(view_name, shadow)
+    return shadow, added
 
 
 def _record_refresh(
@@ -135,74 +245,40 @@ class ViewMaintainer:
     ) -> RefreshReport:
         """Apply an insert-only delta of ``relation`` to ``view``.
 
-        For an SPJ view, the new tuples are exactly the view's plan
-        evaluated with ``relation`` replaced by the delta — the classic
-        counting-free insert rule.  Aggregate views fall back to
-        recomputation, as do *self-join* views: substituting the delta
-        for every occurrence of ``relation`` would evaluate ``δR ⋈ δR``
-        instead of ``δR ⋈ R  ∪  R_old ⋈ δR``, silently dropping rows.
-        Views with a duplicate-eliminating projection insert only delta
-        tuples not already stored, preserving set semantics.
-
-        The refresh is atomic: deltas are applied to a shadow copy that
-        replaces the stored table only once fully built, so concurrent
-        readers never observe a partially-refreshed view.
+        The edge follows :func:`edge_rule`: a linear SPJ edge evaluates
+        the view's plan with ``relation`` replaced by the delta and
+        commits the new tuples through :func:`commit_delta` (atomic
+        shadow swap, DISTINCT dedup); a recompute edge (aggregate,
+        self-join) falls back to :meth:`materialize`.  An empty delta
+        costs nothing and leaves the stored table in place.
         """
         if view.name not in self.database:
             raise WarehouseError(
                 f"view {view.name!r} has not been materialized yet"
             )
         if not view.depends_on(relation):
-            stored = self.database.table(view.name)
-            return RefreshReport(
-                view=view.name,
-                policy=INCREMENTAL,
-                io=IOSnapshot(0, 0),
-                rows_after=stored.cardinality,
-            )
-        if any(isinstance(node, Aggregate) for node in view.plan.walk()):
+            return self._unchanged(view)
+        rule = edge_rule(view, relation)
+        if rule.mode == MODE_RECOMPUTE:
             return self.materialize(view)
-        references = sum(1 for leaf in view.plan.leaves if leaf.name == relation)
-        if references > 1:
-            return self.materialize(view)
-        distinct_plan = any(
-            isinstance(node, Project) and node.distinct
-            for node in view.plan.walk()
+        delta_rows = validate_delta_rows(
+            self.database.table(relation).schema, delta_rows, relation
         )
+        if not delta_rows:
+            return self._unchanged(view)
 
         with obs.span(
             "maintenance.refresh", view=view.name, policy=INCREMENTAL,
             relation=relation,
         ) as span:
             before = self.database.io.snapshot()
-            delta_table = self._delta_table(relation, delta_rows)
-            overlay = _OverlayDatabase(self.database, {relation: delta_table})
-            delta_engine = ExecutionEngine(
-                overlay,
-                self.engine.join_method,
-                engine=self.engine.engine,
-                batch_size=self.engine.batch_size,
+            delta = delta_table(self.database, relation, delta_rows)
+            new_rows = evaluate_overlay(
+                self.database, self.engine, view.plan, {relation: delta}
+            ).rows()
+            shadow, added = commit_delta(
+                self.database, view.name, new_rows, distinct=rule.distinct
             )
-            delta_result = delta_engine.execute(view.plan)
-
-            stored = self.database.table(view.name)
-            new_rows = delta_result.rows()
-            if distinct_plan:
-                names = stored.schema.attribute_names
-                existing = {
-                    tuple(row[n] for n in names) for row in stored.rows()
-                }
-                new_rows = [
-                    row
-                    for row in new_rows
-                    if tuple(row[n] for n in names) not in existing
-                ]
-            shadow = Table(
-                stored.schema, stored.blocking_factor, io=self.database.io
-            )
-            shadow.insert_many(stored.rows(), count_io=False)
-            added = shadow.insert_many(new_rows, count_io=True)
-            self.database.register(view.name, shadow)
             span.set(rows_added=added)
             report = RefreshReport(
                 view=view.name,
@@ -213,17 +289,16 @@ class ViewMaintainer:
             _record_refresh(span, report, view)
         return report
 
-    def _delta_table(
-        self, relation: str, delta_rows: Iterable[Mapping[str, object]]
-    ) -> Table:
-        base = self.database.table(relation)
-        delta = Table(base.schema, base.blocking_factor, io=self.database.io)
-        for row in validate_delta_rows(base.schema, delta_rows, relation):
-            delta.insert(row)
-        return delta
+    def _unchanged(self, view: MaterializedView) -> RefreshReport:
+        return RefreshReport(
+            view=view.name,
+            policy=INCREMENTAL,
+            io=IOSnapshot(0, 0),
+            rows_after=self.database.table(view.name).cardinality,
+        )
 
 
-class _OverlayDatabase(Database):
+class OverlayDatabase(Database):
     """A database view where selected tables are substituted.
 
     Used to evaluate a view plan "as if" a base relation contained only
@@ -231,7 +306,7 @@ class _OverlayDatabase(Database):
     database (sharing its I/O counter).
     """
 
-    def __init__(self, base: Database, overrides: Dict[str, Table]):
+    def __init__(self, base: Database, overrides: Mapping[str, Table]):
         super().__init__()
         self.io = base.io  # share accounting with the real database
         # Forward the injector: the vectorized engine keys build-side
@@ -248,8 +323,3 @@ class _OverlayDatabase(Database):
 
     def __contains__(self, name: str) -> bool:
         return name in self._overrides or name in self._base
-
-
-#: Public alias: the sharded serving path substitutes shard-union tables
-#: through the same overlay mechanism incremental maintenance uses.
-OverlayDatabase = _OverlayDatabase

@@ -39,10 +39,9 @@ from repro.algebra.operators import (
 from repro.distributed.partition import PartitionScheme, shard_table_name
 from repro.distributed.sharding import ShardCatalog
 from repro.errors import WarehouseError
-from repro.executor.engine import Database, ExecutionEngine
 from repro.storage.block import IOSnapshot
 from repro.storage.table import Table
-from repro.warehouse.maintenance import _OverlayDatabase
+from repro.warehouse.maintenance import evaluate_overlay
 from repro.warehouse.rewriter import prune_shards
 from repro.warehouse.view import MaterializedView
 
@@ -447,17 +446,12 @@ class ShardManager:
         self, plan: Operator, overrides: Dict[str, Table]
     ) -> Tuple[Table, IOSnapshot]:
         """Execute ``plan`` with shard-union substitutions in place."""
-        engine = self.warehouse.engine
-        overlay = _OverlayDatabase(self.warehouse.database, overrides)
-        shard_engine = ExecutionEngine(
-            overlay,
-            engine.join_method,
-            engine=engine.engine,
-            batch_size=engine.batch_size,
+        database = self.warehouse.database
+        before = database.io.snapshot()
+        result = evaluate_overlay(
+            database, self.warehouse.engine, plan, overrides
         )
-        before = self.warehouse.database.io.snapshot()
-        result = shard_engine.execute(plan)
-        return result, self.warehouse.database.io.since(before)
+        return result, database.io.since(before)
 
     # ----------------------------------------------------------------- summary
     def describe(self) -> Mapping[str, object]:

@@ -1,12 +1,18 @@
-"""The streaming-maintenance correctness property.
+"""The incremental-maintenance correctness property.
 
-For a random interleaving of stream inserts, stream deletes and drains
-over the paper's Table-2 workload, draining the change logs must leave
-every materialized view bit-identical to a full recomputation of its
-plan — under both the vectorized and the reference engine, and with
-identical contents across the two (the drain path goes through the
-shared overlay evaluation, so engine choice must not leak into stored
-rows)."""
+For a random interleaving of inserts, deletes and drains over the
+paper's Table-2 workload, maintaining the views must leave every
+materialized view bit-identical to a full recomputation of its plan —
+under both the vectorized and the reference engine, and with identical
+contents across the two (both write modes go through the shared overlay
+evaluation, so engine choice must not leak into stored rows).  Two write
+modes share the property:
+
+* ``stream`` — stream inserts and deletes, drained by the change-log
+  maintainer;
+* ``batch`` — ``apply_update(policy="incremental")`` inserts and
+  ``apply_delete(policy="recompute")`` deletes, maintained inline (drain
+  steps are no-ops)."""
 
 import datetime
 
@@ -25,6 +31,12 @@ SETTINGS = settings(
 )
 
 ENGINES = ("vectorized", "reference")
+
+#: (insert policy, delete policy) per write mode.
+WRITE_POLICIES = {
+    "stream": ("stream", "stream"),
+    "batch": ("incremental", "recompute"),
+}
 
 ROW_MAKERS = {
     "Order": lambda salt: {
@@ -72,33 +84,37 @@ def _build(engine):
     return warehouse
 
 
-def _replay(engine, ops, policy):
+def _replay(engine, ops, policy, mode):
     """Run one trajectory; return {view: multiset} of final contents."""
     warehouse = _build(engine)
-    warehouse.enable_streaming(policy)
+    insert_policy, delete_policy = WRITE_POLICIES[mode]
+    if mode == "stream":
+        warehouse.enable_streaming(policy)
     for relation, action, salt in ops:
         if action == "drain":
-            warehouse.drain_changes()
+            if mode == "stream":
+                warehouse.drain_changes()
         elif action == "insert":
             warehouse.apply_update(
-                relation, [ROW_MAKERS[relation](salt)], policy="stream"
+                relation, [ROW_MAKERS[relation](salt)], policy=insert_policy
             )
         else:
             table = warehouse.database.table(relation)
             if table.cardinality == 0:
                 continue
             victim = table.rows()[salt % table.cardinality]
-            warehouse.apply_delete(relation, [victim], policy="stream")
-    warehouse.drain_changes()
+            warehouse.apply_delete(relation, [victim], policy=delete_policy)
+    if mode == "stream":
+        warehouse.drain_changes()
+        assert warehouse.streaming.max_lag() == 0
     assert warehouse.stale_views() == []
-    assert warehouse.streaming.max_lag() == 0
 
     contents = {}
     for view in warehouse.views:
         stored = _multiset(warehouse.database.table(view.name).rows())
         recomputed = _multiset(warehouse.engine.execute(view.plan).rows())
         assert stored == recomputed, (
-            f"{engine}: view {view.name} diverged from full recompute"
+            f"{engine}/{mode}: view {view.name} diverged from full recompute"
         )
         contents[view.name] = stored
     return contents
@@ -107,7 +123,10 @@ def _replay(engine, ops, policy):
 @SETTINGS
 @given(ops=OPS, policy=POLICIES)
 def test_streaming_equals_recompute_on_both_engines(ops, policy):
-    results = {engine: _replay(engine, ops, policy) for engine in ENGINES}
-    assert results["vectorized"] == results["reference"], (
-        "engines disagree on streamed view contents"
-    )
+    for mode in WRITE_POLICIES:
+        results = {
+            engine: _replay(engine, ops, policy, mode) for engine in ENGINES
+        }
+        assert results["vectorized"] == results["reference"], (
+            f"engines disagree on {mode}-maintained view contents"
+        )

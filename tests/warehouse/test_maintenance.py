@@ -210,3 +210,32 @@ class TestIncremental:
         assert stored == {
             (dict(r)["Customer.city"], dict(r)["n"]) for r in recomputed
         }
+
+
+@pytest.mark.parametrize("engine", ["vectorized", "reference"])
+def test_empty_incremental_delta_costs_nothing(workload, engine):
+    """An empty batch delta must not re-evaluate the view plan or swap the
+    stored table — the same early return the streaming drain takes."""
+    from repro.storage.block import IOSnapshot
+    from repro.warehouse import DataWarehouse
+
+    warehouse = DataWarehouse.from_workload(
+        workload, engine=engine, join_method="hash"
+    )
+    warehouse.design()
+    for relation, rows in sorted(paper_rows(scale=0.02, seed=0).items()):
+        warehouse.load(relation, rows)
+    warehouse.materialize()
+    stored = {
+        view.name: warehouse.database.table(view.name)
+        for view in warehouse.views
+    }
+
+    reports = warehouse.apply_update("Order", [], policy=INCREMENTAL)
+
+    assert reports, "the paper design has views over Order"
+    for report in reports:
+        assert report.policy == INCREMENTAL
+        assert report.io == IOSnapshot(0, 0), report
+        assert warehouse.database.table(report.view) is stored[report.view]
+        assert report.rows_after == stored[report.view].cardinality

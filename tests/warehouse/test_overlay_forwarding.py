@@ -1,4 +1,4 @@
-"""`_OverlayDatabase` forwarding contracts.
+"""`OverlayDatabase` forwarding contracts.
 
 The overlay substitutes selected tables and reads everything else
 through the real database — sharing its I/O counter and, critically,
