@@ -335,15 +335,11 @@ class DeltaPropagator:
             shared_tables: Dict[str, Tuple[str, Table]] = {}
             for sig, shared in sorted(active.items()):
                 subplan = self.graph.shared_subplan(relation, sig)
-                rows = evaluate_overlay(
+                table = evaluate_overlay(
                     database, self.engine, subplan, base_overrides
-                ).rows()
-                table = Table(
-                    subplan.schema,
-                    database.table(relation).blocking_factor,
-                    io=database.io,
-                )
-                table.insert_many(rows, count_io=False)
+                ).copy(database.io)
+                table.schema = subplan.schema
+                table.blocking_factor = database.table(relation).blocking_factor
                 charge_materialize(table)
                 shared_tables[sig] = (shared.name, table)
             for name in targets:

@@ -468,29 +468,30 @@ class StreamingMaintainer:
             future = self.changes.log(name).records_after(last_seq)
             if not future:
                 continue
-            table = database._tables[name]  # raw rows; no fault/IO charge
-            rows = [dict(row) for row in table.rows()]
+            # Undo the future newest first: an insert cancels the latest
+            # equal row an undone delete restored, else leaves the head.
+            removed: List[Mapping[str, Any]] = []
+            restored: List[Mapping[str, Any]] = []
             for record in reversed(future):
                 if record.op in (INSERT, UPDATE):
-                    self._remove_one(rows, record.row)
+                    for index in range(len(restored) - 1, -1, -1):
+                        if restored[index] == record.row:
+                            del restored[index]
+                            break
+                    else:
+                        removed.append(record.row)
                 if record.op in (DELETE, UPDATE):
-                    rows.append(dict(record.old_row))
-            rewound = Table(table.schema, table.blocking_factor, io=database.io)
-            rewound.insert_many(rows, count_io=False)
+                    restored.append(record.old_row)
+            # The raw table: no fault draw, no I/O charge.
+            rewound = database._tables[name].copy(database.io)
+            if len(rewound.delete_many(removed, count_io=False)) < len(removed):
+                raise StreamingError(
+                    "change log is inconsistent with the stored table: "
+                    "a logged insert is missing from the head state"
+                )
+            rewound.insert_many(restored, count_io=False)
             rewinds[name] = rewound
         return rewinds
-
-    @staticmethod
-    def _remove_one(rows: List[Dict[str, Any]], row: Mapping[str, Any]) -> None:
-        key = _row_key(row)
-        for index in range(len(rows) - 1, -1, -1):
-            if _row_key(rows[index]) == key:
-                del rows[index]
-                return
-        raise StreamingError(
-            "change log is inconsistent with the stored table: "
-            "a logged insert is missing from the head state"
-        )
 
     def _apply_run(
         self,

@@ -11,9 +11,6 @@ stability contract):
   operators, :class:`~repro.executor.batch.Batch`,
   :class:`~repro.executor.physical.PhysicalPlanner`,
   :class:`~repro.executor.physical.BuildSideCache`).
-
-The free functions re-exported from :mod:`repro.executor.iterators`
-(``linear_select`` et al.) are deprecated shims kept for one release.
 """
 
 from repro.executor.batch import Batch, DEFAULT_BATCH_SIZE
@@ -31,15 +28,6 @@ from repro.executor.engine import (
     load_database,
 )
 from repro.executor.indexes import IndexManager, index_nested_loop_join
-from repro.executor.iterators import (
-    aggregate_table,
-    sort_merge_join,
-    hash_join,
-    linear_select,
-    materialize_table,
-    nested_loop_join,
-    project_table,
-)
 from repro.executor.physical import (
     BuildSideCache,
     ExecutionContext,
@@ -92,12 +80,5 @@ __all__ = [
     "execute_operator",
     "index_nested_loop_join",
     "scan_of",
-    "sort_merge_join",
-    "aggregate_table",
-    "hash_join",
-    "linear_select",
     "load_database",
-    "materialize_table",
-    "nested_loop_join",
-    "project_table",
 ]

@@ -5,9 +5,9 @@ two execution engines sharing a single semantics:
 
 * ``vectorized`` (the default) — :class:`~repro.executor.physical.PhysicalPlanner`
   lowers the logical plan to a physical operator tree once per execute,
-  then drives it columnar batch-at-a-time over
-  :class:`~repro.storage.columnar.ColumnView` chunks.  Hash-join build
-  sides are reused across refreshes through the engine's
+  then drives it columnar batch-at-a-time over the stored tables' own
+  column lists (:class:`~repro.storage.table.Table` is column-major).
+  Hash-join build sides are reused across refreshes through the engine's
   :class:`~repro.executor.physical.BuildSideCache`.
 * ``reference`` — the original row-at-a-time operators
   (:mod:`repro.executor.iterators`), kept as the behavioural oracle the

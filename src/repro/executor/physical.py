@@ -260,8 +260,7 @@ class Scan(PhysicalOperator):
         return self.table
 
     def _columns(self) -> List[List[Any]]:
-        view = self.require_table().column_view()
-        return [view.column(name) for name in self.schema.attribute_names]
+        return list(self.require_table()._columns)
 
     def touch_scan(self, ctx: ExecutionContext):
         table = self.require_table()
@@ -276,9 +275,7 @@ class Scan(PhysicalOperator):
 
     def touch_rows(self, ctx: ExecutionContext):
         table = self.require_table()
-        if type(table) is not Table:
-            table.rows()  # fault draw; the copy itself is discarded
-        return self._columns(), table.cardinality
+        return table.columns(), table.cardinality  # a proxy's read fault draw
 
     def _compute(self, ctx: ExecutionContext):
         return self.touch_scan(ctx)
@@ -929,19 +926,16 @@ class IndexNestedLoopJoin(_JoinBase):
         if isinstance(left_prep.op, Scan):
             outer_table = left_prep.op.require_table()
         else:
-            outer_table = Table(
-                self.left.schema, self.left.blocking_factor, io=ctx.io
+            outer_table = Table._adopt(
+                self.left.schema,
+                self.left.blocking_factor,
+                list(left_prep.columns),
+                ctx.io,
             )
-            names = self.left.schema.attribute_names
-            outer_table._rows = [
-                dict(zip(names, values)) for values in zip(*left_prep.columns)
-            ]
         result = index_nested_loop_join(
             outer_table, index, self.equi_pair, self.leftover
         )
-        names = self.schema.attribute_names
-        rows = result._rows
-        return [[row[name] for row in rows] for name in names], len(rows)
+        return result.columns(), result.cardinality
 
     @property
     def label(self) -> str:
@@ -1396,9 +1390,7 @@ def execute_operator(
 ) -> Table:
     """Drive one operator tree to completion and build its result table.
 
-    The deprecated free functions in ``repro.executor.iterators``
-    delegate here; no obs recording, no build cache — their historical
-    contract is exactly one table in, one table out, identical I/O.
+    No obs recording, no build cache: one table in, one table out.
     """
     ctx = ExecutionContext(
         io=io, batch_size=batch_size, database=database, indexes=indexes
@@ -1414,13 +1406,13 @@ def table_from_columns(schema, blocking_factor, columns, length, io) -> Table:
 
     Values flowing through physical operators were validated when their
     source rows were loaded (``DataType.validate`` is idempotent), so
-    rebuilding row dicts directly is safe — and is where the vectorized
-    engine wins back the row engine's per-row normalization cost.
+    the table adopts copies of the columns as they are.  Copying keeps
+    the result independent of stored tables whose columns a scan passed
+    through unchanged.
     """
-    out = Table(schema, blocking_factor, io=io)
-    names = schema.attribute_names
-    out._rows = [dict(zip(names, values)) for values in zip(*columns)]
-    return out
+    return Table._adopt(
+        schema, blocking_factor, [list(column) for column in columns], io
+    )
 
 
 def charge_materialize(result: Table) -> Table:

@@ -220,18 +220,19 @@ class _MaintenanceScope:
 class FaultyTable(Table):
     """A table proxy that consults a :class:`FaultInjector` before I/O.
 
-    Shares the inner table's row list, schema and I/O counter, so reads
-    and writes that survive injection behave exactly like the real
+    Shares the inner table's column storage, schema and I/O counter, so
+    reads and writes that survive injection behave exactly like the real
     table (including block accounting).  A raised fault aborts before
-    any row is appended — partial writes are impossible.
+    any row is appended — partial writes are impossible.  Every whole-
+    table read (:meth:`rows`, :meth:`copy`, index probes) goes through
+    :meth:`columns`, which draws one read fault.
     """
 
     def __init__(self, inner: Table, name: str, injector: FaultInjector):
         self.schema = inner.schema
         self.blocking_factor = inner.blocking_factor
         self.io = inner.io
-        self._rows = inner._rows  # shared: the proxy IS the stored table
-        self._colcache = inner.column_view()  # shared columnar cache
+        self._columns = inner._columns  # shared: the proxy IS the stored table
         # Change capture rides through the proxy: a write that survives
         # injection must emit exactly the records a direct write would.
         self.write_hook = inner.write_hook
@@ -242,9 +243,9 @@ class FaultyTable(Table):
         self._injector.maybe_fail_storage(self._name, "scan")
         return super().scan(count_io)
 
-    def rows(self) -> list:
+    def columns(self) -> list:
         self._injector.maybe_fail_storage(self._name, "read")
-        return super().rows()
+        return super().columns()
 
     def insert(self, row: Mapping[str, Any], count_io: bool = False) -> None:
         self._injector.maybe_fail_storage(self._name, "write")

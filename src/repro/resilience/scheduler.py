@@ -367,7 +367,6 @@ class RefreshScheduler:
         from repro.executor.engine import Database, ExecutionEngine
         from repro.executor.physical import charge_materialize
         from repro.parallel import resolve_executor
-        from repro.storage.table import Table
 
         database = self.warehouse.database
         engine = self.warehouse.engine
@@ -378,10 +377,7 @@ class RefreshScheduler:
             # cannot reorder charges on the real counter.
             private = Database()
             for relation in sorted(shard_view.plan.base_relations()):
-                source = database.table(relation)
-                clone = Table(source.schema, source.blocking_factor)
-                clone.insert_many(source.rows(), count_io=False)
-                private.register(relation, clone)
+                private.register(relation, database.table(relation).copy())
             task_engine = ExecutionEngine(
                 private,
                 engine.join_method,
@@ -389,11 +385,7 @@ class RefreshScheduler:
                 batch_size=engine.batch_size,
                 lint=engine.lint,
             )
-            result = task_engine.execute(shard_view.plan)
-            stored = Table(
-                result.schema, result.blocking_factor, io=private.io
-            )
-            stored.insert_many(result.rows(), count_io=False)
+            stored = task_engine.execute(shard_view.plan).copy(private.io)
             charge_materialize(stored)
             return stored, private.io.snapshot()
 

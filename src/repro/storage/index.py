@@ -31,8 +31,8 @@ class HashIndex:
 
     def rebuild(self) -> None:
         self._buckets.clear()
-        for position, row in enumerate(self.table.rows()):
-            self._buckets.setdefault(row[self.attribute], []).append(position)
+        for position, value in enumerate(_column(self.table, self.attribute)):
+            self._buckets.setdefault(value, []).append(position)
 
     def lookup(self, value: Any, count_io: bool = True) -> List[Dict[str, Any]]:
         positions = self._buckets.get(value, [])
@@ -40,8 +40,7 @@ class HashIndex:
             self.table.io.read_blocks(
                 1 + block_count(len(positions), self.table.blocking_factor)
             )
-        rows = self.table.rows()
-        return [rows[p] for p in positions]
+        return _rows_at(self.table, positions)
 
     def __len__(self) -> int:
         return sum(len(v) for v in self._buckets.values())
@@ -54,14 +53,16 @@ class SortedIndex:
         self.table = table
         self.attribute = table.schema.attribute(attribute).name
         self._entries: List[Tuple[Any, int]] = []
+        self._keys: List[Any] = []
         self.rebuild()
 
     def rebuild(self) -> None:
         self._entries = sorted(
-            (row[self.attribute], position)
-            for position, row in enumerate(self.table.rows())
-            if row[self.attribute] is not None
+            (value, position)
+            for position, value in enumerate(_column(self.table, self.attribute))
+            if value is not None
         )
+        self._keys = [entry[0] for entry in self._entries]
 
     def range(
         self,
@@ -72,7 +73,7 @@ class SortedIndex:
         count_io: bool = True,
     ) -> List[Dict[str, Any]]:
         """Rows with ``low <op> attribute <op> high`` (None = unbounded)."""
-        keys = [entry[0] for entry in self._entries]
+        keys = self._keys
         start = 0
         if low is not None:
             start = (
@@ -94,8 +95,20 @@ class SortedIndex:
             self.table.io.read_blocks(
                 1 + block_count(len(positions), self.table.blocking_factor)
             )
-        rows = self.table.rows()
-        return [rows[p] for p in positions]
+        return _rows_at(self.table, positions)
 
     def __len__(self) -> int:
         return len(self._entries)
+
+
+def _column(table: Table, attribute: str) -> List[Any]:
+    """One column of ``table`` (one read-fault draw through a proxy)."""
+    return table.columns()[table.schema.attribute_names.index(attribute)]
+
+
+def _rows_at(table: Table, positions: List[int]) -> List[Dict[str, Any]]:
+    """Only the rows at ``positions``: a probe costs O(matches), not a
+    copy of the table (one read-fault draw through a proxy)."""
+    columns = table.columns()
+    names = table.schema.attribute_names
+    return [dict(zip(names, [column[p] for column in columns])) for p in positions]

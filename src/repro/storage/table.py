@@ -1,10 +1,13 @@
 """In-memory block-structured heap tables.
 
-Rows are dictionaries keyed by the schema's attribute names (which are
-qualified, e.g. ``"Product.Pid"``, once a table participates in query
-processing).  Physically, rows are grouped into blocks of
-``blocking_factor`` rows; every scan charges one read per block to the
-table's :class:`IOCounter`.
+A table stores its rows column-major: one Python list per schema
+attribute, aligned by row position (``None`` is SQL NULL).  Rows are
+exchanged as dictionaries keyed by the schema's attribute names (which
+are qualified, e.g. ``"Product.Pid"``, once a table participates in
+query processing); :meth:`Table.rows` and :meth:`Table.scan` build them
+on demand, and the vectorized executor reads the columns directly.
+Physically, rows are grouped into blocks of ``blocking_factor`` rows;
+every scan charges one read per block to the table's :class:`IOCounter`.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ DEFAULT_BLOCKING_FACTOR = 10
 
 
 class Table:
-    """A heap table: a schema, rows, and a blocking factor."""
+    """A heap table: a schema, column-major rows, and a blocking factor."""
 
     #: Optional change-capture callback ``hook(op, rows)`` with ``op`` in
     #: ``("insert", "delete")`` and ``rows`` the normalized rows written
@@ -40,46 +43,63 @@ class Table:
         self.schema = schema
         self.blocking_factor = blocking_factor
         self.io = io if io is not None else IOCounter()
-        self._rows: List[Dict[str, Any]] = []
-        self._colcache = None  # lazily created ColumnView
+        # One list per attribute.  Mutations rebind or extend the inner
+        # lists but never rebind this outer list, so a proxy sharing it
+        # (FaultyTable) always sees the same rows.
+        self._columns: List[List[Any]] = [[] for _ in schema.attribute_names]
+
+    @staticmethod
+    def _adopt(
+        schema: RelationSchema,
+        blocking_factor: float,
+        columns: List[List[Any]],
+        io: Optional[IOCounter] = None,
+    ) -> "Table":
+        """A table that takes ``columns`` (one list per attribute, in
+        schema order) as its storage, without copying or re-validating.
+
+        Trusted callers only: the values must already be valid for the
+        schema, e.g. engine results computed from stored tables.
+        """
+        table = Table(schema, blocking_factor, io)
+        table._columns = columns
+        return table
 
     # ---------------------------------------------------------------- sizing
     @property
     def cardinality(self) -> int:
-        return len(self._rows)
+        return len(self._columns[0]) if self._columns else 0
 
     @property
     def num_blocks(self) -> int:
-        return block_count(len(self._rows), self.blocking_factor)
+        return block_count(self.cardinality, self.blocking_factor)
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return self.cardinality
 
     # --------------------------------------------------------------- loading
     def insert(self, row: Mapping[str, Any], count_io: bool = False) -> None:
         """Insert one row (validated against the schema's types)."""
-        normalized = self._normalize(row)
-        self._rows.append(normalized)
-        if self._colcache is not None:
-            self._colcache.invalidate()
+        values = self._normalize(row)
+        for column, value in zip(self._columns, values):
+            column.append(value)
         if count_io:
             self.io.write_blocks(1)
         if self.write_hook is not None:
-            self.write_hook("insert", [normalized])
+            self.write_hook("insert", self._as_dicts([values]))
 
     def insert_many(self, rows: Iterable[Mapping[str, Any]], count_io: bool = True) -> int:
         """Bulk insert; charges one write per *block* appended."""
-        before = len(self._rows)
-        for row in rows:
-            self._rows.append(self._normalize(row))
-        added = len(self._rows) - before
-        if added and self._colcache is not None:
-            self._colcache.invalidate()
-        if count_io and added:
-            self.io.write_blocks(block_count(added, self.blocking_factor))
-        if added and self.write_hook is not None:
-            self.write_hook("insert", self._rows[before:])
-        return added
+        added = [self._normalize(row) for row in rows]
+        if not added:
+            return 0
+        for column, values in zip(self._columns, zip(*added)):
+            column.extend(values)
+        if count_io:
+            self.io.write_blocks(block_count(len(added), self.blocking_factor))
+        if self.write_hook is not None:
+            self.write_hook("insert", self._as_dicts(added))
+        return len(added)
 
     def delete_many(
         self, rows: Iterable[Mapping[str, Any]], count_io: bool = True
@@ -94,35 +114,37 @@ class Table:
         """
         wanted: Dict[tuple, int] = {}
         for row in rows:
-            key = tuple(sorted(self._normalize(row).items()))
+            key = self._normalize(row)
             wanted[key] = wanted.get(key, 0) + 1
         if not wanted:
             return []
         if count_io:
             self.io.read_blocks(self.num_blocks)
-        kept: List[Dict[str, Any]] = []
-        removed: List[Dict[str, Any]] = []
-        for stored in self._rows:
-            key = tuple(sorted(stored.items()))
-            if wanted.get(key, 0) > 0:
-                wanted[key] -= 1
+        kept: List[tuple] = []
+        removed: List[tuple] = []
+        for stored in zip(*self._columns):
+            if wanted.get(stored, 0) > 0:
+                wanted[stored] -= 1
                 removed.append(stored)
             else:
                 kept.append(stored)
         if removed:
-            self._rows[:] = kept
-            if self._colcache is not None:
-                self._colcache.invalidate()
+            self._columns[:] = [list(values) for values in zip(*kept)] or [
+                [] for _ in self._columns
+            ]
             if count_io:
                 self.io.write_blocks(
                     block_count(len(removed), self.blocking_factor)
                 )
+            removed_rows = self._as_dicts(removed)
             if self.write_hook is not None:
-                self.write_hook("delete", removed)
-        return removed
+                self.write_hook("delete", removed_rows)
+            return removed_rows
+        return []
 
-    def _normalize(self, row: Mapping[str, Any]) -> Dict[str, Any]:
-        out: Dict[str, Any] = {}
+    def _normalize(self, row: Mapping[str, Any]) -> tuple:
+        """``row``'s validated values in schema order."""
+        values = []
         for attribute in self.schema:
             if attribute.name in row:
                 value = row[attribute.name]
@@ -132,59 +154,66 @@ class Table:
                 raise StorageError(
                     f"row missing attribute {attribute.name!r}: {sorted(row)}"
                 )
-            out[attribute.name] = attribute.datatype.validate(value)
-        return out
+            values.append(attribute.datatype.validate(value))
+        return tuple(values)
+
+    def _as_dicts(self, tuples: Iterable[Sequence[Any]]) -> List[Dict[str, Any]]:
+        names = self.schema.attribute_names
+        return [dict(zip(names, values)) for values in tuples]
 
     # --------------------------------------------------------------- reading
     def scan(self, count_io: bool = True) -> Iterator[Dict[str, Any]]:
         """Yield every row; charges one read per block when ``count_io``."""
         if count_io:
             self.io.read_blocks(self.num_blocks)
-        yield from iter(self._rows)
+        names = self.schema.attribute_names
+        for values in zip(*self._columns):
+            yield dict(zip(names, values))
+
+    def columns(self) -> List[List[Any]]:
+        """The column lists in schema order, for read-only access.
+
+        No I/O is charged (callers charge at their own boundary); a
+        fault-injecting proxy draws its read fault here, so :meth:`rows`,
+        :meth:`copy` and index probes all read through this one point.
+        """
+        return list(self._columns)
 
     def rows(self) -> List[Dict[str, Any]]:
         """All rows without I/O accounting (inspection/testing only)."""
-        return list(self._rows)
+        return self._as_dicts(zip(*self.columns()))
+
+    def copy(self, io: Optional[IOCounter] = None) -> "Table":
+        """A plain table holding a snapshot of this table's rows.
+
+        Copies the columns without re-validation, charges no I/O, fires
+        no write hook, and charges later work to ``io`` (a fresh counter
+        when ``None``).
+        """
+        return Table._adopt(
+            self.schema,
+            self.blocking_factor,
+            [list(column) for column in self.columns()],
+            io,
+        )
 
     def clear(self) -> None:
-        self._rows.clear()
-        if self._colcache is not None:
-            self._colcache.invalidate()
-
-    def column_view(self):
-        """The cached columnar view of this table's rows.
-
-        Created on first use and invalidated automatically whenever the
-        rows change.  Fault-injecting proxies share the wrapped table's
-        view, so both handles always observe the same cache.
-        """
-        if self._colcache is None:
-            from repro.storage.columnar import ColumnView
-
-            self._colcache = ColumnView(self)
-        return self._colcache
+        self._columns[:] = [[] for _ in self._columns]
 
     def qualified(self, relation_name: Optional[str] = None) -> "Table":
-        """A view of this table with attribute names qualified.
+        """A copy of this table with attribute names qualified.
 
         Used when a base table loaded with short column names enters
         query processing, where plans reference ``Relation.attr`` names.
         The returned table shares this table's :class:`IOCounter`.
         """
-        name = relation_name or self.schema.name
-        qualified_schema = self.schema.rename(name).qualify()
-        out = Table(qualified_schema, self.blocking_factor, io=self.io)
-        mapping = {
-            old.name: new.name
-            for old, new in zip(self.schema, qualified_schema)
-        }
-        for row in self._rows:
-            out._rows.append({mapping[k]: v for k, v in row.items()})
+        out = self.copy(self.io)
+        out.schema = self.schema.rename(relation_name or self.schema.name).qualify()
         return out
 
     def __repr__(self) -> str:
         return (
-            f"Table({self.schema.name}, rows={len(self._rows)}, "
+            f"Table({self.schema.name}, rows={self.cardinality}, "
             f"blocks={self.num_blocks})"
         )
 

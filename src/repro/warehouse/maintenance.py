@@ -149,14 +149,12 @@ def commit_delta(
     already stored, preserving set semantics.  Returns the new table and
     the number of rows inserted.
     """
-    stored = database.table(view_name)
-    shadow = Table(stored.schema, stored.blocking_factor, io=database.io)
-    shadow.insert_many(stored.rows(), count_io=False)
+    shadow = database.table(view_name).copy(database.io)
     if delete_rows:
         shadow.delete_many(delete_rows, count_io=True)
     if distinct and insert_rows:
         names = shadow.schema.attribute_names
-        existing = {tuple(row[n] for n in names) for row in shadow.rows()}
+        existing = set(zip(*shadow.columns()))
         deduped = []
         for row in insert_rows:
             key = tuple(row[n] for n in names)
@@ -222,9 +220,7 @@ class ViewMaintainer:
             "maintenance.refresh", view=view.name, policy=RECOMPUTE
         ) as span:
             before = self.database.io.snapshot()
-            result = self.engine.execute(view.plan)
-            stored = Table(result.schema, result.blocking_factor, io=self.database.io)
-            stored.insert_many(result.rows(), count_io=False)
+            stored = self.engine.execute(view.plan).copy(self.database.io)
             charge_materialize(stored)
             self.database.register(view.name, stored)
             report = RefreshReport(

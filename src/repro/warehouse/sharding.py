@@ -73,7 +73,8 @@ class ShardUnionTable(Table):
         blocks = 0
         for shard_table in shard_tables:
             blocks += shard_table.num_blocks
-            self.insert_many(shard_table.rows(), count_io=False)
+            for column, values in zip(self._columns, shard_table.columns()):
+                column.extend(values)
         self._union_blocks = blocks
 
     @property

@@ -412,58 +412,7 @@ class TestBuildSideCache:
         assert cache.lookup(("hash-build", "sig0", ()), ()) is None
 
 
-class TestColumnView:
-    def _table(self):
-        table = Table(SCHEMAS["A"], blocking_factor=3)
-        table.insert_many(
-            [{"A.id": i, "A.v": i * 2} for i in range(4)], count_io=False
-        )
-        return table
-
-    def test_columns_match_rows(self):
-        table = self._table()
-        view = table.column_view()
-        assert view.column("A.id") == [0, 1, 2, 3]
-        assert view.column("A.v") == [0, 2, 4, 6]
-
-    def test_insert_invalidates(self):
-        table = self._table()
-        view = table.column_view()
-        assert view.column("A.id") == [0, 1, 2, 3]
-        table.insert({"A.id": 9, "A.v": 9})
-        assert view.column("A.id") == [0, 1, 2, 3, 9]
-
-    def test_clear_invalidates(self):
-        table = self._table()
-        view = table.column_view()
-        view.column("A.id")
-        table.clear()
-        assert view.column("A.id") == []
-
-    def test_column_read_charges_no_io(self):
-        table = self._table()
-        before = table.io.snapshot()
-        table.column_view().column("A.v")
-        assert table.io.since(before).total == 0
-
-
 class TestDeprecatedShims:
-    def test_free_functions_warn_and_delegate(self):
-        from repro.executor import iterators
-
-        table = Table(SCHEMAS["A"], blocking_factor=3)
-        table.insert_many(
-            [{"A.id": i, "A.v": i} for i in range(5)], count_io=False
-        )
-        with pytest.warns(DeprecationWarning, match="linear_select"):
-            result = iterators.linear_select(
-                table, compare("A.v", ">", literal(2))
-            )
-        assert result.cardinality == 2
-        with pytest.warns(DeprecationWarning, match="project_table"):
-            projected = iterators.project_table(table, ["A.v"])
-        assert projected.schema.attribute_names == ("A.v",)
-
     def test_planner_rejects_unbound_without_schema(self):
         planner = PhysicalPlanner(database=None, require_tables=True)
         with pytest.raises(ExecutionError):
