@@ -77,6 +77,18 @@ class Operator:
         raise NotImplementedError
 
     @property
+    def parameters(self) -> Tuple[object, ...]:
+        """The node's own parameters (children excluded) as a hashable key.
+
+        Two nodes of one class with equal parameters over the same
+        children are structurally identical, so this is the hash-consing
+        key of :class:`repro.mvpp.merge.PlanInterner`.  Unlike the
+        signature it is not commutative: ``A ⋈ B`` and ``B ⋈ A`` differ
+        in their children's order, and so in their keys.
+        """
+        raise NotImplementedError
+
+    @property
     def is_leaf(self) -> bool:
         return not self._children
 
@@ -166,6 +178,10 @@ class Relation(Operator):
         return f"rel({self.name})"
 
     @property
+    def parameters(self) -> Tuple[object, ...]:
+        return (self.name, self._schema)
+
+    @property
     def label(self) -> str:
         return self.name
 
@@ -201,6 +217,10 @@ class Select(Operator):
 
     def _compute_signature(self) -> str:
         return f"select[{self.predicate.signature}]({self.child.signature})"
+
+    @property
+    def parameters(self) -> Tuple[object, ...]:
+        return (self.predicate.signature,)
 
     @property
     def label(self) -> str:
@@ -246,6 +266,10 @@ class Project(Operator):
         attrs = ",".join(sorted(self.attributes))
         tag = "distinct" if self.distinct else "project"
         return f"{tag}[{attrs}]({self.child.signature})"
+
+    @property
+    def parameters(self) -> Tuple[object, ...]:
+        return (self.attributes, self.distinct)
 
     @property
     def label(self) -> str:
@@ -305,6 +329,12 @@ class Join(Operator):
         return f"join[{cond}]({inner})"
 
     @property
+    def parameters(self) -> Tuple[object, ...]:
+        # Expression signatures are canonical (operands are ordered at
+        # construction), so equal signatures mean identical conditions.
+        return (None if self.condition is None else self.condition.signature,)
+
+    @property
     def label(self) -> str:
         if self.condition is None:
             return "×"
@@ -347,6 +377,10 @@ class Sort(Operator):
         return f"sort[{rendered}]({self.child.signature})"
 
     @property
+    def parameters(self) -> Tuple[object, ...]:
+        return (self.keys,)
+
+    @property
     def label(self) -> str:
         rendered = ", ".join(
             f"{name} {'ASC' if ascending else 'DESC'}"
@@ -376,6 +410,10 @@ class Limit(Operator):
 
     def _compute_signature(self) -> str:
         return f"limit[{self.count}]({self.child.signature})"
+
+    @property
+    def parameters(self) -> Tuple[object, ...]:
+        return (self.count,)
 
     @property
     def label(self) -> str:
@@ -476,6 +514,10 @@ class Aggregate(Operator):
         keys = ",".join(sorted(self.group_by))
         funcs = ",".join(sorted(s.signature for s in self.aggregates))
         return f"aggregate[{keys};{funcs}]({self.child.signature})"
+
+    @property
+    def parameters(self) -> Tuple[object, ...]:
+        return (self.group_by, tuple(s.signature for s in self.aggregates))
 
     @property
     def label(self) -> str:

@@ -157,10 +157,6 @@ class MVPPCostCalculator:
         self.mvpp = mvpp
         self.maintenance_trigger = maintenance_trigger
         self.cache = cache
-        # Per-vertex {v} ∪ descendants(v) id sets, built lazily: the
-        # shared-cache key needs the materialized ids *within* v's
-        # subtree, mapped to their canonical signatures.
-        self._closures: Dict[int, FrozenSet[int]] = {}
 
     # ------------------------------------------------------------------ cost
     def access_cost(self, vertex: Vertex, materialized: FrozenSet[int]) -> float:
@@ -244,14 +240,6 @@ class MVPPCostCalculator:
                 total += self._local_recompute_cost(child, materialized)
         return total
 
-    def _closure(self, vertex: Vertex) -> FrozenSet[int]:
-        """``{v} ∪ S*{v}`` as ids, memoized per calculator."""
-        ids = self._closures.get(vertex.vertex_id)
-        if ids is None:
-            ids = frozenset(self.mvpp.descendants(vertex)) | {vertex.vertex_id}
-            self._closures[vertex.vertex_id] = ids
-        return ids
-
     def _cache_key(
         self, vertex: Vertex, materialized: FrozenSet[int]
     ) -> CacheKey:
@@ -259,15 +247,17 @@ class MVPPCostCalculator:
 
         Only materialized vertices *inside* the subtree can influence
         its access cost, so the key narrows the materialized set to the
-        subtree closure and canonicalizes ids to operator signatures —
-        making the entry valid for any candidate MVPP that contains an
-        identical subtree.
+        subtree closure ``{v} ∪ S*{v}`` and canonicalizes ids to operator
+        signatures — making the entry valid for any candidate MVPP that
+        contains an identical subtree.
         """
-        relevant = materialized & self._closure(vertex)
-        return (
-            vertex.signature,
-            frozenset(self.mvpp.vertex(i).signature for i in relevant),
-        )
+        relevant = {
+            self.mvpp.vertex(i).signature
+            for i in materialized & self.mvpp.descendants(vertex)
+        }
+        if vertex.vertex_id in materialized:
+            relevant.add(vertex.signature)
+        return (vertex.signature, frozenset(relevant))
 
     def query_processing_cost(self, materialized: FrozenSet[int]) -> float:
         """``Σ fq(qi) · C(mv → ri)`` over all query roots."""

@@ -26,12 +26,7 @@ from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 from repro import obs
 from repro.algebra import predicates as P
 from repro.algebra.expressions import Expression
-from repro.algebra.operators import (
-    Operator,
-    Relation,
-    project_if,
-    select_if,
-)
+from repro.algebra.operators import Operator, Relation, Select
 from repro.algebra.rewrite import PulledPlan, pull_up
 from repro.errors import MVPPError
 from repro.mvpp.config import (
@@ -42,7 +37,7 @@ from repro.mvpp.config import (
 from repro.mvpp.cost import PER_PERIOD, CostBreakdown, CostCache, MVPPCostCalculator
 from repro.mvpp.graph import MVPP, Vertex
 from repro.parallel.executor import SerialExecutor, resolve_executor
-from repro.mvpp.merge import merge_skeletons
+from repro.mvpp.merge import PlanInterner, merge_skeletons
 from repro.optimizer.cardinality import CardinalityEstimator
 from repro.optimizer.cost_model import CostModel, DEFAULT_COST_MODEL
 from repro.optimizer.heuristics import optimize_query
@@ -116,33 +111,44 @@ def build_mvpp(
     name: str = "mvpp",
     push_down: bool = True,
     maintenance_write: bool = False,
+    interner: Optional[PlanInterner] = None,
 ) -> MVPP:
     """Steps 4–6 for one merge order: merge skeletons, push down, intern.
 
     ``push_down=False`` yields the paper's *Figure 7* form (selections
     above the shared joins); the default yields the optimized *Figure 8*
     form with leaf-level disjunctive selections and unioned projections.
+    Every plan node is built through ``interner`` (a fresh one by
+    default); :func:`generate_mvpps` passes one interner to all of its
+    rotations, so a node two rotations share is built once.
     """
     estimator = estimator or CardinalityEstimator(workload.statistics)
+    interner = interner if interner is not None else PlanInterner()
     with obs.span(
         "generation.merge", mvpp=name, queries=len(ordered_infos)
     ) as span:
         merged = merge_skeletons(
-            [(info.spec.name, info.pulled.skeleton) for info in ordered_infos]
+            [(info.spec.name, info.pulled.skeleton) for info in ordered_infos],
+            interner,
         )
 
         plans: Dict[str, Operator] = {}
         if push_down:
-            stems = _leaf_stems(ordered_infos, merged)
+            stems = _leaf_stems(ordered_infos, merged, interner)
             for info in ordered_infos:
-                plans[info.spec.name] = _assemble_pushed(info, merged, stems)
+                skeleton = _replace_leaves(
+                    merged[info.spec.name], stems, {}, interner
+                )
+                plans[info.spec.name] = _assemble(
+                    info, skeleton, _residuals(info, stems), interner
+                )
         else:
             for info in ordered_infos:
-                body = select_if(merged[info.spec.name], info.pulled.selection)
-                if info.pulled.aggregate is not None:
-                    body = info.pulled.aggregate.with_children((body,))
-                plans[info.spec.name] = info.pulled.decorate(
-                    project_if(body, info.pulled.projection)
+                plans[info.spec.name] = _assemble(
+                    info,
+                    merged[info.spec.name],
+                    info.pulled.selection,
+                    interner,
                 )
 
         mvpp = MVPP(name=name)
@@ -159,9 +165,15 @@ def build_mvpp(
 
 def _build_rotation(payload: Tuple[Any, ...]) -> MVPP:
     """Build one rotation's MVPP (module-level so process pools can run it)."""
-    order, workload, estimator, cost_model, name, push_down = payload
+    order, workload, estimator, cost_model, name, push_down, interner = payload
     return build_mvpp(
-        order, workload, estimator, cost_model, name=name, push_down=push_down
+        order,
+        workload,
+        estimator,
+        cost_model,
+        name=name,
+        push_down=push_down,
+        interner=interner,
     )
 
 
@@ -179,7 +191,9 @@ def generate_mvpps(
     the explicit keyword arguments were given) and its
     ``workers``/``executor`` fan the per-rotation merges out in
     parallel.  The candidate list is identical for every backend: tasks
-    are dispatched and collected in rotation order.
+    are dispatched and collected in rotation order.  All rotations build
+    their plan nodes through one :class:`~repro.mvpp.merge.PlanInterner`,
+    so the candidates share every node they have in common.
     """
     if config is not None:
         rotations = rotations if rotations is not None else config.rotations
@@ -199,6 +213,7 @@ def generate_mvpps(
         count = k if rotations is None else max(1, min(rotations, k))
         span.set(rotations=count, workers=executor.workers)
         obs.metrics().counter("generation.candidates").inc(count)
+        interner = PlanInterner()
         payloads = [
             (
                 infos[rotation:] + infos[:rotation],
@@ -207,6 +222,7 @@ def generate_mvpps(
                 cost_model,
                 f"{workload.name}-mvpp{rotation + 1}",
                 push_down,
+                interner,
             )
             for rotation in range(count)
         ]
@@ -269,7 +285,9 @@ def _leaf_needs(pulled: PulledPlan) -> Dict[str, FrozenSet[str]]:
 
 
 def _leaf_stems(
-    infos: Sequence[QueryPlanInfo], merged: Dict[str, Operator]
+    infos: Sequence[QueryPlanInfo],
+    merged: Dict[str, Operator],
+    interner: PlanInterner,
 ) -> Dict[str, Operator]:
     """Figure 4 steps 5/6: the σ/π stem placed over each base relation.
 
@@ -277,7 +295,8 @@ def _leaf_stems(
     conjunction of conditions on that relation (TRUE when any sharing
     query filters nothing).  Projection: the union of attributes any
     sharing query needs, plus join attributes (collected inside
-    :func:`_leaf_needs`).
+    :func:`_leaf_needs`).  The merged skeletons are interned, so each
+    leaf is the one canonical object for its relation.
     """
     leaf_nodes: Dict[str, Relation] = {}
     for skeleton in merged.values():
@@ -295,22 +314,20 @@ def _leaf_stems(
             terms.append(P.conjunction(mine) if mine else None)
             union_attrs |= info.leaf_needs[leaf_name]
         condition = P.disjunction(terms) if terms else None
-        stem: Operator = select_if(leaf, condition)
+        stem = interner.select(leaf, condition)
         if union_attrs:
             ordered = [
                 a for a in leaf.schema.attribute_names if a in union_attrs
             ]
-            stem = project_if(stem, ordered)
+            stem = interner.project(stem, ordered)
         stems[leaf_name] = stem
     return stems
 
 
-def _assemble_pushed(
-    info: QueryPlanInfo, merged: Dict[str, Operator], stems: Dict[str, Operator]
-) -> Operator:
-    """Rebuild one query over the stemmed leaves and re-apply residuals."""
-    skeleton = _replace_leaves(merged[info.spec.name], stems, {})
-
+def _residuals(
+    info: QueryPlanInfo, stems: Dict[str, Operator]
+) -> Optional[Expression]:
+    """The query's conditions its leaves' pushed-down stems do not imply."""
     residuals: List[Expression] = list(info.residual_conjuncts)
     for leaf_name, conjs in info.leaf_conjuncts.items():
         stem = stems[leaf_name]
@@ -318,15 +335,32 @@ def _assemble_pushed(
         for conjunct in conjs:
             if not P.implies(pushed, conjunct):
                 residuals.append(conjunct)
+    return P.conjunction(residuals)
 
-    body = select_if(skeleton, P.conjunction(residuals))
-    if info.pulled.aggregate is not None:
-        body = info.pulled.aggregate.with_children((body,))
-    return info.pulled.decorate(project_if(body, info.pulled.projection))
+
+def _assemble(
+    info: QueryPlanInfo,
+    skeleton: Operator,
+    selection: Optional[Expression],
+    interner: PlanInterner,
+) -> Operator:
+    """One query's plan over ``skeleton``: σ, then γ, π and its caps."""
+    body = interner.select(skeleton, selection)
+    pulled = info.pulled
+    if pulled.aggregate is not None:
+        body = interner.rebuild(pulled.aggregate, (body,))
+    body = interner.project(body, pulled.projection)
+    for cap in (pulled.sort, pulled.limit):  # PulledPlan.decorate's order
+        if cap is not None:
+            body = interner.rebuild(cap, (body,))
+    return body
 
 
 def _replace_leaves(
-    node: Operator, stems: Dict[str, Operator], memo: Dict[str, Operator]
+    node: Operator,
+    stems: Dict[str, Operator],
+    memo: Dict[str, Operator],
+    interner: PlanInterner,
 ) -> Operator:
     cached = memo.get(node.signature)
     if cached is not None:
@@ -334,8 +368,9 @@ def _replace_leaves(
     if isinstance(node, Relation):
         out = stems.get(node.name, node)
     else:
-        out = node.with_children(
-            tuple(_replace_leaves(child, stems, memo) for child in node.children)
+        out = interner.rebuild(
+            node,
+            [_replace_leaves(child, stems, memo, interner) for child in node.children],
         )
     memo[node.signature] = out
     return out
@@ -343,8 +378,6 @@ def _replace_leaves(
 
 def _stem_condition(stem: Operator) -> Optional[Expression]:
     """The selection condition a stem applies (if any)."""
-    from repro.algebra.operators import Select
-
     for node in stem.walk():
         if isinstance(node, Select):
             return node.predicate

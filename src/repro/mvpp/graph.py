@@ -11,6 +11,9 @@ Vertices are deduplicated by operator signature, so feeding several query
 plans that share subexpressions into :meth:`MVPP.add_query` produces the
 shared structure automatically — the merge of common subexpressions the
 paper describes for Figure 2(b).
+
+Structural reachability (``S*``, ``D*``, ``Ov``, ``Iv``) is computed once
+per vertex and memoized until the next structural change.
 """
 
 from __future__ import annotations
@@ -84,6 +87,12 @@ class MVPP:
         self._next_id = 0
         self._annotated = False
         self._scan_cost_model: Optional[CostModel] = None
+        # Reachability memos, per vertex id; cleared by _forget_reachability
+        # on every new vertex or arc.
+        self._descendants: Dict[int, FrozenSet[int]] = {}
+        self._ancestors: Dict[int, FrozenSet[int]] = {}
+        self._queries_using: Dict[int, Tuple[Vertex, ...]] = {}
+        self._base_relations: Dict[int, Tuple[Vertex, ...]] = {}
 
     # ----------------------------------------------------------- construction
     def add_query(self, name: str, plan: Operator, frequency: float) -> Vertex:
@@ -105,7 +114,7 @@ class MVPP:
             register_signature=False,
         )
         root.frequency = frequency
-        result_vertex.parents.add(root.vertex_id)
+        self._link(result_vertex, root)
         self._query_roots[name] = root.vertex_id
         self._annotated = False
         return root
@@ -139,8 +148,19 @@ class MVPP:
             children=tuple(c.vertex_id for c in child_vertices),
         )
         for child in child_vertices:
-            child.parents.add(vertex.vertex_id)
+            self._link(child, vertex)
         return vertex
+
+    def _link(self, child: Vertex, parent: Vertex) -> None:
+        """Add the back-link of the arc ``child -> parent``."""
+        child.parents.add(parent.vertex_id)
+        self._forget_reachability()
+
+    def _forget_reachability(self) -> None:
+        self._descendants.clear()
+        self._ancestors.clear()
+        self._queries_using.clear()
+        self._base_relations.clear()
 
     def _new_vertex(
         self,
@@ -162,6 +182,7 @@ class MVPP:
             self._by_signature[operator.signature] = vertex.vertex_id
         self._next_id += 1
         self._annotated = False
+        self._forget_reachability()
         return vertex
 
     def assign_names(self, prefix: str = "tmp") -> None:
@@ -232,49 +253,53 @@ class MVPP:
         """``D(v)``: immediate destinations."""
         return [self._vertices[i] for i in sorted(vertex.parents)]
 
-    def descendants(self, vertex: Vertex) -> Set[int]:
+    def descendants(self, vertex: Vertex) -> FrozenSet[int]:
         """``S*{v}``: every vertex below ``v`` (excluding ``v``)."""
-        seen: Set[int] = set()
-        stack = list(vertex.children)
-        while stack:
-            current = stack.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            stack.extend(self._vertices[current].children)
-        return seen
+        memo = self._descendants.get(vertex.vertex_id)
+        if memo is None:
+            below = set(vertex.children)
+            for child_id in vertex.children:
+                below |= self.descendants(self._vertices[child_id])
+            memo = self._descendants[vertex.vertex_id] = frozenset(below)
+        return memo
 
-    def ancestors(self, vertex: Vertex) -> Set[int]:
+    def ancestors(self, vertex: Vertex) -> FrozenSet[int]:
         """``D*{v}``: every vertex above ``v`` (excluding ``v``)."""
-        seen: Set[int] = set()
-        stack = list(vertex.parents)
-        while stack:
-            current = stack.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            stack.extend(self._vertices[current].parents)
-        return seen
+        memo = self._ancestors.get(vertex.vertex_id)
+        if memo is None:
+            above = set(vertex.parents)
+            for parent_id in vertex.parents:
+                above |= self.ancestors(self._vertices[parent_id])
+            memo = self._ancestors[vertex.vertex_id] = frozenset(above)
+        return memo
 
-    def queries_using(self, vertex: Vertex) -> List[Vertex]:
-        """``Ov = R ∩ D*{v}``: query roots reachable above ``v``."""
+    def queries_using(self, vertex: Vertex) -> Tuple[Vertex, ...]:
+        """``Ov = R ∩ D*{v}``: query roots reachable above ``v``, by id."""
         if vertex.is_root:
-            return [vertex]
-        return [
-            self._vertices[i]
-            for i in sorted(self.ancestors(vertex))
-            if self._vertices[i].is_root
-        ]
+            return (vertex,)
+        queries = self._queries_using.get(vertex.vertex_id)
+        if queries is None:
+            queries = tuple(
+                self._vertices[i]
+                for i in sorted(self.ancestors(vertex))
+                if self._vertices[i].is_root
+            )
+            self._queries_using[vertex.vertex_id] = queries
+        return queries
 
-    def base_relations_of(self, vertex: Vertex) -> List[Vertex]:
-        """``Iv = L ∩ S*{v}``: base relations feeding ``v``."""
+    def base_relations_of(self, vertex: Vertex) -> Tuple[Vertex, ...]:
+        """``Iv = L ∩ S*{v}``: base relations feeding ``v``, by id."""
         if vertex.is_leaf:
-            return [vertex]
-        return [
-            self._vertices[i]
-            for i in sorted(self.descendants(vertex))
-            if self._vertices[i].is_leaf
-        ]
+            return (vertex,)
+        bases = self._base_relations.get(vertex.vertex_id)
+        if bases is None:
+            bases = tuple(
+                self._vertices[i]
+                for i in sorted(self.descendants(vertex))
+                if self._vertices[i].is_leaf
+            )
+            self._base_relations[vertex.vertex_id] = bases
+        return bases
 
     def topological_order(self) -> List[Vertex]:
         """Vertices ordered children-before-parents (stable by id).

@@ -15,17 +15,111 @@ each incoming plan we
 A pooled node is only reused when its join predicates agree exactly with
 the incoming query's predicates over the same leaves — reusing a node with
 different conditions would change the query's meaning.
+
+Every node the merge builds goes through a :class:`PlanInterner`, so one
+design builds each distinct plan node once, however many Figure-4
+rotations reach it.
 """
 
 from __future__ import annotations
 
-from typing import AbstractSet, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    AbstractSet,
+    Any,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro import obs
 from repro.algebra import predicates as P
 from repro.algebra.expressions import Expression
-from repro.algebra.operators import Join, Operator
+from repro.algebra.operators import Join, Operator, Select, project_if
 from repro.errors import MVPPError
+
+
+class PlanInterner:
+    """Hash-consed plan nodes: each distinct node is built once.
+
+    A node's key is its operator class, its own
+    :attr:`~repro.algebra.operators.Operator.parameters` and the
+    identities of its children.  Children must be nodes this interner
+    returned (:meth:`tree` interns a whole outside tree).  Keys are
+    ordered, so ``A ⋈ B`` and ``B ⋈ A`` — one commutative signature but
+    two schemas — stay two nodes.  Base leaves are canonical per
+    ``(name, schema)``, so the same relation read by different queries
+    is one leaf object.
+
+    Sharing contract: plan nodes are immutable, so one interner serves
+    every rotation of one :func:`~repro.mvpp.generation.generate_mvpps`
+    call, and its nodes are shared by all of that design's candidate
+    MVPPs.  Every id in a key belongs to a node the interner holds, so
+    no id is reused while the interner lives.  Lookups are single dict
+    operations, safe to share across the thread executor; a process
+    worker unpickles an empty interner (ids mean nothing in another
+    process), so it stays correct but shares nothing with its parent.
+    """
+
+    __slots__ = ("_nodes", "_trees")
+
+    def __init__(self) -> None:
+        self._nodes: Dict[Tuple[Any, ...], Operator] = {}
+        # id(input tree) -> (input tree, interned copy); holding the input
+        # keeps its id from being reused.
+        self._trees: Dict[int, Tuple[Operator, Operator]] = {}
+
+    def __reduce__(self) -> Tuple[type, Tuple[()]]:
+        return (PlanInterner, ())
+
+    def _get(self, key: Tuple[Any, ...], build: Callable[[], Operator]) -> Operator:
+        node = self._nodes.get(key)
+        if node is None:
+            node = self._nodes.setdefault(key, build())
+        return node
+
+    def rebuild(self, node: Operator, children: Sequence[Operator]) -> Operator:
+        """``node.with_children(children)``, built once per key."""
+        key = (type(node), node.parameters, *map(id, children))
+        if all(a is b for a, b in zip(children, node.children)):
+            return self._get(key, lambda: node)
+        return self._get(key, lambda: node.with_children(children))
+
+    def tree(self, node: Operator) -> Operator:
+        """The interned copy of a whole plan tree (remembered per tree)."""
+        known = self._trees.get(id(node))
+        if known is not None:
+            return known[1]
+        interned = self.rebuild(node, [self.tree(child) for child in node.children])
+        self._trees[id(node)] = (node, interned)
+        return interned
+
+    def join(
+        self, left: Operator, right: Operator, condition: Optional[Expression]
+    ) -> Operator:
+        """``Join(left, right, condition)``, built once per key."""
+        key = (
+            Join,
+            (None if condition is None else condition.signature,),
+            id(left),
+            id(right),
+        )
+        return self._get(key, lambda: Join(left, right, condition))
+
+    def select(self, child: Operator, predicate: Optional[Expression]) -> Operator:
+        """:func:`~repro.algebra.operators.select_if`, built once per key."""
+        if predicate is None:
+            return child
+        key = (Select, (predicate.signature,), id(child))
+        return self._get(key, lambda: Select(child, predicate))
+
+    def project(self, child: Operator, attributes: Sequence[str]) -> Operator:
+        """:func:`~repro.algebra.operators.project_if`, built once per key."""
+        key = (project_if, tuple(attributes), id(child))
+        return self._get(key, lambda: project_if(child, attributes))
 
 
 def skeleton_join_conjuncts(skeleton: Operator) -> Tuple[Expression, ...]:
@@ -100,6 +194,7 @@ class SkeletonPool:
 
 def merge_skeletons(
     ordered: Sequence[Tuple[str, Operator]],
+    interner: Optional[PlanInterner] = None,
 ) -> Dict[str, Operator]:
     """Merge query skeletons in the given order (Figure 4 steps 4.1–4.3).
 
@@ -107,21 +202,28 @@ def merge_skeletons(
     expensive plan first (the caller applies the ``fq · Ca`` ordering and
     the rotation).  Returns each query's merged skeleton; shared structure
     is shared as identical subtree objects, so interning the results into
-    an :class:`~repro.mvpp.graph.MVPP` produces the shared DAG.
+    an :class:`~repro.mvpp.graph.MVPP` produces the shared DAG.  Every
+    returned node comes from ``interner`` (a fresh one by default); pass
+    one interner to every merge order of a design to share nodes across
+    them.
     """
+    interner = interner if interner is not None else PlanInterner()
     pool = SkeletonPool()
     merged: Dict[str, Operator] = {}
     for index, (name, skeleton) in enumerate(ordered):
+        skeleton = interner.tree(skeleton)
         if index == 0:
             result = skeleton  # step 4.1/4.2: the seed keeps its join order
         else:
-            result = _merge_one(skeleton, pool)
+            result = _merge_one(skeleton, pool, interner)
         merged[name] = result
         pool.add_tree(result)
     return merged
 
 
-def _merge_one(skeleton: Operator, pool: SkeletonPool) -> Operator:
+def _merge_one(
+    skeleton: Operator, pool: SkeletonPool, interner: PlanInterner
+) -> Operator:
     predicates = skeleton.join_conjuncts
     pieces = pool.reusable_pieces(skeleton.leaf_names, predicates)
     if obs.enabled():
@@ -139,11 +241,16 @@ def _merge_one(skeleton: Operator, pool: SkeletonPool) -> Operator:
 
     if len(pieces) == 1:
         return pieces[0]
-    return _join_pieces(pieces, predicates, first_leaf=skeleton.leaves[0].name)
+    return _join_pieces(
+        pieces, predicates, skeleton.leaves[0].name, interner
+    )
 
 
 def _join_pieces(
-    pieces: List[Operator], predicates: Sequence[Expression], first_leaf: str
+    pieces: List[Operator],
+    predicates: Sequence[Expression],
+    first_leaf: str,
+    interner: PlanInterner,
 ) -> Operator:
     """Left-deep join of ``pieces`` along the query's join predicates."""
     remaining = list(pieces)
@@ -177,7 +284,7 @@ def _join_pieces(
         applicable = _connecting(pending, current, chosen)
         for predicate in applicable:
             pending.remove(predicate)
-        current = Join(current, chosen, P.conjunction(applicable))
+        current = interner.join(current, chosen, P.conjunction(applicable))
     if pending:
         raise MVPPError(
             f"join predicates left over after merging: "

@@ -137,7 +137,78 @@ class TestTraversal:
 
     def test_queries_using_root_is_itself(self, mvpp):
         root = mvpp.query_root("Q1")
-        assert mvpp.queries_using(root) == [root]
+        assert mvpp.queries_using(root) == (root,)
+
+    def test_reachability_memo_follows_new_queries(self, workload, estimator):
+        """Memoized ``S*``/``D*``/``Ov``/``Iv`` see vertices added later."""
+
+        def plan(name):
+            raw = parse_query(workload.query(name).sql, workload.catalog)
+            return optimize_query(raw, estimator)
+
+        def reachable(vertex, arcs):
+            seen, stack = set(), list(arcs(vertex))
+            while stack:
+                current = stack.pop()
+                if current not in seen:
+                    seen.add(current)
+                    stack.extend(arcs(graph.vertex(current)))
+            return seen
+
+        def query_all():
+            return {
+                v.vertex_id: (
+                    graph.descendants(v),
+                    graph.ancestors(v),
+                    graph.queries_using(v),
+                    graph.base_relations_of(v),
+                )
+                for v in graph
+            }
+
+        graph = MVPP()
+        graph.add_query("Q1", plan("Q1"), 10.0)
+        before = query_all()
+        graph.add_query("Q2", plan("Q2"), 5.0)  # shares Product ⋈ σ(Division)
+        after = query_all()
+
+        q2 = graph.query_root("Q2")
+        shared = [
+            vertex_id
+            for vertex_id in before
+            if q2 in after[vertex_id][2] and not graph.vertex(vertex_id).is_root
+        ]
+        assert shared, "Q2 should reuse a vertex Q1 built"
+        for vertex_id in shared:
+            assert q2.vertex_id in after[vertex_id][1]
+            assert q2.vertex_id not in before[vertex_id][1]
+        for vertex in graph:
+            down, up, queries, bases = after[vertex.vertex_id]
+            assert down == reachable(vertex, lambda v: v.children)
+            assert up == reachable(vertex, lambda v: v.parents)
+            if not vertex.is_root:
+                assert [q.vertex_id for q in queries] == sorted(
+                    i for i in up if graph.vertex(i).is_root
+                )
+            if not vertex.is_leaf:
+                assert [b.vertex_id for b in bases] == sorted(
+                    i for i in down if graph.vertex(i).is_leaf
+                )
+
+        vertex = graph.vertex(shared[0])
+        down, up, queries, bases = after[shared[0]]
+        with pytest.raises(AttributeError):
+            down.add(-1)
+        with pytest.raises(AttributeError):
+            up.add(-1)
+        with pytest.raises(AttributeError):
+            queries.append(vertex)
+        with pytest.raises(AttributeError):
+            bases.append(vertex)
+        mine = set(graph.ancestors(vertex))
+        mine.add(-1)
+        assert -1 not in graph.ancestors(vertex)
+        graph.validate()
 
 
 class TestAnnotation:

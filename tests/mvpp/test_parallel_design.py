@@ -6,6 +6,8 @@ same holds for ``generate_mvpps``, ``strategies.compare`` and the
 chunked exhaustive sweep.
 """
 
+import sys
+
 import pytest
 
 from repro.mvpp import (
@@ -97,6 +99,33 @@ class TestGenerationEquivalence:
             assert [v.signature for v in a.operations] == [
                 v.signature for v in b.operations
             ]
+
+    def test_threads_share_one_node_per_key(self):
+        """Racing rotations still hand out one plan node per interner key.
+
+        Eight threads on a shortened switch interval build the 24
+        rotations through one shared interner.  A lost update would let
+        two structurally identical nodes escape into the candidates.
+        """
+        workload = generate_workload(
+            GeneratorConfig(num_relations=8, num_queries=24, seed=0)
+        ).workload
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            parallel = generate_mvpps(
+                workload, config=DesignConfig(workers=8, executor="thread")
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        serial = generate_mvpps(workload)
+        assert [m.describe() for m in parallel] == [m.describe() for m in serial]
+        nodes = {}
+        for mvpp in parallel:
+            for vertex in mvpp:
+                for node in vertex.operator.walk():
+                    key = (type(node), node.parameters, *map(id, node.children))
+                    assert nodes.setdefault(key, node) is node
 
 
 class TestCompareEquivalence:
