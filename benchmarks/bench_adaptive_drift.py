@@ -2,7 +2,7 @@
 
 Replays the seeded drifting workload (phase A = design-time profile,
 phase B = inverted hot set, phase C = alternating) through
-:func:`repro.adaptive.simulate_drift` and checks the tentpole contract:
+the ``drift`` scenario of :mod:`repro.simulation` and checks the tentpole contract:
 
 * **payoff** — the drift-triggered, cost-gated adaptive controller ends
   with a lower cumulative cost (serving + migration) than *both* the
@@ -19,13 +19,19 @@ seed) for CI smoke runs.
 
 import os
 
-from repro.adaptive import simulate_drift
+from repro import simulation
 from repro.analysis import render_table
+from repro.mvpp.config import DesignConfig
+from repro.workload import paper_workload
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 
 SEEDS = (7,) if SMOKE else (7, 11)
 WINDOWS_PER_PHASE = 2 if SMOKE else 4
+
+
+def simulate_drift(seed, **knobs):
+    return simulation.drift(paper_workload(), DesignConfig(seed=seed), **knobs)
 
 
 def run_replays():
@@ -45,41 +51,41 @@ def test_adaptive_beats_both_baselines(benchmark):
 
     rows = []
     for seed in SEEDS:
-        result = results[seed]
-        # The tentpole payoff, per seed: adaptive < static and < eager.
-        assert result.adaptive_beats_static, result.describe()
-        assert result.adaptive_beats_eager, result.describe()
-        assert result.accepted >= 1
+        result = results[seed].document
+        variants = result["variants"]
+        adaptive = variants["adaptive"]
+        # The payoff, per seed: adaptive < static and < eager.
+        assert results[seed].ok, results[seed].render_text()
+        assert adaptive["total_cost"] < variants["static"]["total_cost"]
+        assert adaptive["total_cost"] < variants["eager"]["total_cost"]
+        assert result["accepted"] >= 1
         # Hysteresis keeps the controller calmer than eager redesign.
-        assert (
-            result.variants["adaptive"].migrations
-            < result.variants["eager"].migrations
-        )
+        assert adaptive["migrations"] < variants["eager"]["migrations"]
         for name in ("static", "adaptive", "eager"):
-            outcome = result.variants[name]
+            outcome = variants[name]
             rows.append(
                 [
                     f"seed {seed}" if name == "static" else "",
                     name,
-                    f"{outcome.serving_cost:,.0f}",
-                    f"{outcome.migration_cost:,.0f}",
-                    f"{outcome.total_cost:,.0f}",
-                    str(outcome.migrations),
+                    f"{outcome['serving_cost']:,.0f}",
+                    f"{outcome['migration_cost']:,.0f}",
+                    f"{outcome['total_cost']:,.0f}",
+                    str(outcome["migrations"]),
                 ]
             )
 
-    stationary = results["stationary"]
-    assert stationary.accepted == 0, stationary.describe()
+    stationary = results["stationary"].document
+    assert stationary["accepted"] == 0, results["stationary"].render_text()
     assert (
-        stationary.variants["adaptive"].total_cost
-        == stationary.variants["static"].total_cost
+        stationary["variants"]["adaptive"]["total_cost"]
+        == stationary["variants"]["static"]["total_cost"]
     )
 
     # Determinism: the same seed reproduces the trajectory bit for bit.
     again = simulate_drift(
         seed=SEEDS[0], windows_per_phase=WINDOWS_PER_PHASE
     )
-    assert again.to_dict() == results[SEEDS[0]].to_dict()
+    assert again.document == results[SEEDS[0]].document
 
     print()
     print(
@@ -89,7 +95,7 @@ def test_adaptive_beats_both_baselines(benchmark):
         )
     )
     print(
-        f"stationary control: {stationary.accepted} accepted over "
-        f"{stationary.windows} windows (decisions: "
-        f"{', '.join(sorted(set(stationary.decisions)))})"
+        f"stationary control: {stationary['accepted']} accepted over "
+        f"{stationary['windows']} windows (decisions: "
+        f"{', '.join(sorted(set(stationary['decisions'])))})"
     )

@@ -8,8 +8,8 @@ frequencies over the logical tick clock, a
 installed design's frequencies, and the
 :class:`~repro.adaptive.controller.AdaptiveController` migrates to a
 redesign only when its amortized saving beats the one-off migration
-cost.  :func:`~repro.adaptive.simulate.simulate_drift` replays a phased
-workload to compare static, adaptive and eager redesign policies.
+cost.  The ``drift`` scenario of :mod:`repro.simulation` replays a
+phased workload to compare static, adaptive and eager redesign policies.
 See ``docs/adaptive.md``.
 """
 
@@ -21,12 +21,7 @@ from repro.adaptive.controller import (
 from repro.adaptive.drift import DriftChange, DriftDetector, DriftEvent
 from repro.adaptive.monitor import WorkloadMonitor
 from repro.adaptive.policy import DEFAULT_ADAPTIVE_POLICY, AdaptivePolicy
-from repro.adaptive.simulate import (
-    DriftSimulationResult,
-    VariantOutcome,
-    simulate_drift,
-    simulation_policy,
-)
+from repro.adaptive.simulate import simulation_policy
 
 __all__ = [
     "ACCEPTED",
@@ -37,9 +32,6 @@ __all__ = [
     "DriftChange",
     "DriftDetector",
     "DriftEvent",
-    "DriftSimulationResult",
-    "VariantOutcome",
     "WorkloadMonitor",
-    "simulate_drift",
     "simulation_policy",
 ]

@@ -1,49 +1,29 @@
-"""Drifting-workload replay: static vs adaptive vs eager redesign.
+"""The drifting-workload replay's policy and phase profiles.
 
-:func:`simulate_drift` replays a phased query log against the paper's
-running example and accounts, window by window, the per-period cost each
-redesign policy would pay:
-
-* **static** — design once for the opening phase, never redesign (the
-  paper's offline assumption);
-* **adaptive** — the :class:`~repro.adaptive.controller.
-  AdaptiveController`: drift-triggered, cost-gated, hysteresis-damped;
-* **eager** — redesign every window from that window's raw counts (no
-  smoothing, no benefit gate) and pay the migration each time the view
-  set changes.
-
-Three phases stress different failure modes: phase A is the design-time
-profile (Q1/Q2-hot); phase B inverts it (Q3/Q4-hot), so *static*
-overpays for every remaining window; phase C alternates the two profiles
-every window, so *eager* thrashes — it pays a migration per window while
-the adaptive controller's sliding window averages the alternation into
-one stable compromise.  A ``stationary`` run replays phase A throughout
-(with the same seeded jitter) as the control: the adaptive controller
-must accept **zero** redesigns on it.
-
-The replay is a pure cost-model simulation on the logical tick clock
-(one tick per event, no stored tables), so a fixed seed reproduces the
-trajectory — decisions, costs, tick stamps — bit-identically.
+The ``drift`` scenario of :mod:`repro.simulation` replays a phased query
+log against the paper's running example and compares static, adaptive
+and eager redesign.  Three phases stress different failure modes: phase
+A is the design-time profile (Q1/Q2-hot); phase B inverts it (Q3/Q4-hot),
+so *static* overpays for every remaining window; phase C alternates the
+two profiles every window, so *eager* thrashes — it pays a migration per
+window while the adaptive controller's sliding window averages the
+alternation into one stable compromise.  A ``stationary`` run replays
+phase A throughout (with the same seeded jitter) as the control.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.adaptive.policy import AdaptivePolicy
-from repro.errors import AdaptiveError
-from repro.workload.query_log import FrequencyEstimate, apply_to_workload
-from repro.workload.spec import QuerySpec, Workload
 
 __all__ = [
     "PHASE_A_PROFILE",
     "PHASE_B_PROFILE",
-    "VariantOutcome",
-    "DriftSimulationResult",
-    "simulate_drift",
+    "phase_profile",
     "simulation_policy",
+    "window_counts",
 ]
 
 #: Per-window query counts of the two workload phases.  Phase A matches
@@ -55,100 +35,6 @@ PHASE_B_PROFILE: Dict[str, int] = {"Q1": 1, "Q2": 1, "Q3": 8, "Q4": 10}
 #: Queries at or above this per-window count get +/-1 seeded jitter;
 #: rarer queries stay exact so noise cannot mimic drift.
 _JITTER_FLOOR = 4
-
-
-@dataclass
-class VariantOutcome:
-    """Cumulative accounting for one redesign policy over the replay."""
-
-    name: str
-    serving_cost: float = 0.0  # sum of per-window query+maintenance cost
-    migration_cost: float = 0.0  # one-off cost of executed migrations
-    migrations: int = 0
-    window_costs: List[float] = field(default_factory=list)
-    final_views: Tuple[str, ...] = ()
-
-    @property
-    def total_cost(self) -> float:
-        """Serving plus migration: the number policies compete on."""
-        return self.serving_cost + self.migration_cost
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "serving_cost": self.serving_cost,
-            "migration_cost": self.migration_cost,
-            "total_cost": self.total_cost,
-            "migrations": self.migrations,
-            "window_costs": list(self.window_costs),
-            "final_views": list(self.final_views),
-        }
-
-
-@dataclass
-class DriftSimulationResult:
-    """Summary of one seeded drifting-workload replay."""
-
-    workload: str
-    seed: int
-    windows: int
-    stationary: bool
-    phases: List[str] = field(default_factory=list)
-    variants: Dict[str, VariantOutcome] = field(default_factory=dict)
-    decisions: List[str] = field(default_factory=list)  # adaptive, per window
-    drift_events: int = 0
-    accepted: int = 0
-    final_ticks: float = 0.0
-
-    @property
-    def adaptive_beats_static(self) -> bool:
-        return (
-            self.variants["adaptive"].total_cost
-            < self.variants["static"].total_cost
-        )
-
-    @property
-    def adaptive_beats_eager(self) -> bool:
-        return (
-            self.variants["adaptive"].total_cost
-            < self.variants["eager"].total_cost
-        )
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "workload": self.workload,
-            "seed": self.seed,
-            "windows": self.windows,
-            "stationary": self.stationary,
-            "phases": list(self.phases),
-            "variants": {
-                name: outcome.to_dict()
-                for name, outcome in sorted(self.variants.items())
-            },
-            "decisions": list(self.decisions),
-            "drift_events": self.drift_events,
-            "accepted": self.accepted,
-            "final_ticks": self.final_ticks,
-        }
-
-    def describe(self) -> str:
-        lines = [
-            f"drift replay: {self.workload}, seed {self.seed}, "
-            f"{self.windows} windows"
-            + (" (stationary control)" if self.stationary else ""),
-        ]
-        for name in ("static", "adaptive", "eager"):
-            outcome = self.variants[name]
-            lines.append(
-                f"  {name:<9} total {outcome.total_cost:>14,.0f}  "
-                f"(serving {outcome.serving_cost:,.0f} + migration "
-                f"{outcome.migration_cost:,.0f}, "
-                f"{outcome.migrations} migration(s))"
-            )
-        lines.append(
-            f"  adaptive decisions: "
-            + (", ".join(self.decisions) if self.decisions else "(none)")
-        )
-        return "\n".join(lines)
 
 
 def simulation_policy(expected_events: float) -> AdaptivePolicy:
@@ -173,9 +59,7 @@ def simulation_policy(expected_events: float) -> AdaptivePolicy:
     )
 
 
-def _window_counts(
-    profile: Dict[str, int], rng: random.Random
-) -> Dict[str, int]:
+def window_counts(profile: Dict[str, int], rng: random.Random) -> Dict[str, int]:
     """One window's query counts: the phase profile plus seeded jitter."""
     return {
         name: count + (rng.randint(-1, 1) if count >= _JITTER_FLOOR else 0)
@@ -183,9 +67,10 @@ def _window_counts(
     }
 
 
-def _phase_profile(
+def phase_profile(
     window: int, windows_per_phase: int, stationary: bool
 ) -> Tuple[str, Dict[str, int]]:
+    """The phase label and query profile of ``window``."""
     if stationary:
         return "A", PHASE_A_PROFILE
     phase = window // windows_per_phase
@@ -197,171 +82,3 @@ def _phase_profile(
     if window % 2 == 0:
         return "C/A", PHASE_A_PROFILE
     return "C/B", PHASE_B_PROFILE
-
-
-def simulate_drift(
-    seed: int = 0,
-    windows_per_phase: int = 4,
-    stationary: bool = False,
-    policy: Optional[AdaptivePolicy] = None,
-    config=None,
-    workload: Optional[Workload] = None,
-) -> DriftSimulationResult:
-    """Replay the phased workload against all three redesign policies.
-
-    Every policy sees the *same* seeded event stream; costs are the
-    design cost framework's per-period totals re-weighted by each
-    window's observed counts (one simulated window = one design period),
-    plus each executed migration's one-off cost.  Pass ``stationary=True``
-    for the control run (phase A throughout, same jitter).
-    """
-    from repro.mvpp.config import DesignConfig
-    from repro.mvpp.generation import design as run_design
-    from repro.mvpp.cost import CostCache
-    from repro.warehouse import DataWarehouse
-    from repro.warehouse.evolution import cost_migration, plan_migration
-    from repro.warehouse.view import MaterializedView
-    from repro.workload import paper_workload
-
-    if windows_per_phase < 1:
-        raise AdaptiveError(
-            f"windows_per_phase must be >= 1: {windows_per_phase}"
-        )
-    base = workload or paper_workload()
-    # Design-time frequencies = the phase-A profile (one window = one
-    # period), so phase A genuinely is "what the designer expected".
-    initial = Workload(
-        name=f"{base.name}-drift",
-        catalog=base.catalog,
-        statistics=base.statistics,
-        queries=tuple(
-            QuerySpec(q.name, q.sql, float(PHASE_A_PROFILE.get(q.name, 1)))
-            for q in base.queries
-        ),
-        update_frequencies=dict(base.update_frequencies),
-    )
-    update_relations = sorted(initial.update_frequencies)
-    expected_events = (
-        sum(PHASE_A_PROFILE.get(q.name, 1) for q in initial.queries)
-        + len(update_relations)
-    )
-    policy = policy or simulation_policy(float(expected_events))
-    config = config or DesignConfig(seed=seed)
-    cache = CostCache()
-
-    windows = windows_per_phase * 3
-    result = DriftSimulationResult(
-        workload=initial.name,
-        seed=seed,
-        windows=windows,
-        stationary=stationary,
-    )
-
-    # --- static: design once, never again -----------------------------------
-    static_result = run_design(initial, config, cache=cache)
-    static = VariantOutcome(
-        name="static", final_views=static_result.materialized_names
-    )
-
-    # --- adaptive: warehouse + controller ------------------------------------
-    adaptive_wh = DataWarehouse.from_workload(initial)
-    adaptive_wh.design(config.replace(adaptive=policy))
-    controller = adaptive_wh.controller(policy=policy)
-    adaptive = VariantOutcome(name="adaptive")
-
-    # --- eager: redesign every window from raw counts ------------------------
-    eager_result = run_design(initial, config, cache=cache)
-    eager_views = [
-        MaterializedView(name=f"mv_{v.name}", plan=v.operator)
-        for v in eager_result.materialized
-    ]
-    eager_blocks = {
-        f"mv_{v.name}": float(v.stats.blocks)
-        for v in eager_result.materialized
-        if v.stats is not None
-    }
-    eager = VariantOutcome(name="eager")
-
-    rng = random.Random(seed)
-    for window in range(windows):
-        phase, profile = _phase_profile(window, windows_per_phase, stationary)
-        result.phases.append(phase)
-        counts = _window_counts(profile, rng)
-        fq = {name: float(count) for name, count in counts.items()}
-        fu = {name: 1.0 for name in update_relations}
-
-        # Feed the shared event stream to the adaptive controller (one
-        # logical tick per event).
-        for name in sorted(counts):
-            for _ in range(counts[name]):
-                controller.note_query(name, 1.0)
-        for name in update_relations:
-            controller.note_update(name, 1.0)
-
-        # Serving cost this window, per variant, under the window's true
-        # counts (one window = one period).
-        for outcome, installed in (
-            (static, static_result),
-            (adaptive, controller.installed_result),
-            (eager, eager_result),
-        ):
-            cost = installed.calculator.breakdown_with_frequencies(
-                installed.materialized, fq, fu
-            ).total
-            outcome.serving_cost += cost
-            outcome.window_costs.append(cost)
-
-        # Window end: adaptive decides; eager redesigns unconditionally.
-        decision = controller.evaluate()
-        result.decisions.append(decision.action)
-        if decision.drift is not None:
-            result.drift_events += 1
-        if decision.accepted:
-            result.accepted += 1
-            adaptive.migrations += 1
-            adaptive.migration_cost += decision.migration_cost or 0.0
-
-        observed = apply_to_workload(
-            initial,
-            FrequencyEstimate(
-                query_frequencies=fq,
-                update_frequencies=fu,
-                periods=1.0,
-            ),
-        )
-        new_result = run_design(observed, config, cache=cache)
-        new_views = [
-            MaterializedView(name=f"mv_{v.name}", plan=v.operator)
-            for v in new_result.materialized
-        ]
-        plan = cost_migration(
-            plan_migration(eager_views, new_views),
-            access_costs={
-                v.operator.signature: v.access_cost
-                for v in new_result.materialized
-            },
-            stored_blocks=eager_blocks,
-            drop_cost_per_block=policy.drop_cost_per_block,
-        )
-        if not plan.is_noop:
-            eager.migrations += 1
-            eager.migration_cost += plan.migration_cost
-            for view in plan.drop:
-                eager_blocks.pop(view.name, None)
-            for vertex in new_result.materialized:
-                if vertex.stats is not None:
-                    eager_blocks[f"mv_{vertex.name}"] = float(
-                        vertex.stats.blocks
-                    )
-        eager_views = list(plan.keep) + list(plan.create)
-        eager_result = new_result
-
-    adaptive.final_views = controller.installed_result.materialized_names
-    eager.final_views = tuple(sorted(v.name for v in eager_views))
-    result.variants = {
-        "static": static,
-        "adaptive": adaptive,
-        "eager": eager,
-    }
-    result.final_ticks = controller.clock.now
-    return result

@@ -87,21 +87,12 @@ def resolve_workload_rows(
     args: argparse.Namespace, scale: float
 ) -> Tuple[object, Dict[str, List[Mapping[str, object]]]]:
     """A workload plus synthetic rows matching its statistics at ``scale``."""
-    from repro.workload.datagen import paper_rows, star_rows, synthetic_rows
+    from repro.simulation import workload_rows
 
-    if args.workload in ("paper", "paper-fig7"):
-        return resolve_workload(args), paper_rows(scale=scale, seed=args.seed)
-    if args.workload == "star":
-        config = StarConfig(num_queries=args.queries, seed=args.seed)
-        return star_workload(config), star_rows(config, scale=scale, seed=args.seed)
-    generated = generate_workload(
-        GeneratorConfig(
-            num_relations=args.relations,
-            num_queries=args.queries,
-            seed=args.seed,
-        )
+    return workload_rows(
+        args.workload, scale, args.seed, queries=args.queries,
+        relations=args.relations,
     )
-    return generated.workload, synthetic_rows(generated, scale=scale, seed=args.seed)
 
 
 def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
@@ -278,6 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="end-to-end lifecycle simulation (updates, refreshes, queries)",
     )
     _add_workload_arguments(simulate_parser)
+    # One scenario per run: command_simulate rejects two selectors.
     simulate_parser.add_argument(
         "--faults", action="store_true",
         help="inject seeded storage faults during maintenance",
@@ -664,16 +656,12 @@ def _run_instrumented_lifecycle(args: argparse.Namespace, scale: float):
     scheduler, controller) runs at least once, so the journal and the
     calibration log carry one full story.
     """
-    from repro.warehouse import DataWarehouse
+    from repro.simulation import build, delta_slice, hot_relations
 
     if scale <= 0:
         raise ReproError(f"--scale must be positive: {scale}")
     workload, rows = resolve_workload_rows(args, scale)
-    warehouse = DataWarehouse.from_workload(workload)
-    warehouse.design(design_config(args))
-    for relation, relation_rows in rows.items():
-        warehouse.load(relation, relation_rows)
-    warehouse.materialize()
+    warehouse = build(workload, rows, design_config(args))
     # Sync statistics (base and stored views) to the loaded actuals, so
     # calibration measures cost-model error rather than the gap between
     # the Table-1 statistics and the --scale fraction actually loaded.
@@ -686,10 +674,8 @@ def _run_instrumented_lifecycle(args: argparse.Namespace, scale: float):
             )
     for spec in workload.queries:
         warehouse.execute(spec.name)
-    target = max(
-        rows, key=lambda name: (workload.update_frequency(name), name)
-    )
-    delta = rows[target][: max(1, len(rows[target]) // 100)]
+    target = hot_relations(workload, rows)[0]
+    delta = delta_slice(rows, target, 100)
     warehouse.apply_update(target, delta, policy="defer")
     warehouse.refresh_resilient()
     # Streaming segment: CDC capture, stream ingest, drain.  Retention
@@ -714,16 +700,11 @@ def _run_instrumented_lifecycle(args: argparse.Namespace, scale: float):
 
 def command_trace_events(args: argparse.Namespace) -> int:
     """Dump the flight-recorder journal of one lifecycle as JSONL."""
-    was_enabled = obs.enabled()
-    obs.enable(reset=True)
-    try:
+    with obs.recording():
         workload, _ = _run_instrumented_lifecycle(args, args.scale)
         journal = obs.journal()
         text = journal.to_jsonl()
         events = len(journal)
-    finally:
-        if not was_enabled:
-            obs.disable()
     if args.output:
         with open(args.output, "w") as handle:
             handle.write(text)
@@ -764,27 +745,19 @@ def command_trace(args: argparse.Namespace) -> int:
 
 
 def command_profile(args: argparse.Namespace) -> int:
-    from repro.warehouse import DataWarehouse
+    from repro.simulation import build, delta_slice, hot_relations
 
     if args.scale <= 0:
         raise ReproError(f"--scale must be positive: {args.scale}")
-    was_enabled = obs.enabled()
-    obs.enable(reset=True)
-    try:
+    with obs.recording():
         workload, rows = resolve_workload_rows(args, args.scale)
-        warehouse = DataWarehouse.from_workload(workload)
-        warehouse.design(design_config(args))
-        for relation, relation_rows in rows.items():
-            warehouse.load(relation, relation_rows)
-        warehouse.materialize()
+        warehouse = build(workload, rows, design_config(args))
         for spec in workload.queries:
             warehouse.execute(spec.name)
         # Maintenance: an incremental delta on the most-updated relation,
         # then a full refresh (the paper's recompute policy).
-        target = max(
-            rows, key=lambda name: (workload.update_frequency(name), name)
-        )
-        delta = rows[target][: max(1, len(rows[target]) // 100)]
+        target = hot_relations(workload, rows)[0]
+        delta = delta_slice(rows, target, 100)
         warehouse.apply_update(target, delta, policy="incremental")
         warehouse.refresh()
         # Resilience + adaptive: one scheduler pass over deliberately
@@ -795,9 +768,6 @@ def command_profile(args: argparse.Namespace) -> int:
         warehouse.adapt()
 
         document = obs.snapshot(workload=workload.name)
-    finally:
-        if not was_enabled:
-            obs.disable()
     problems = validate_profile(document)
     if args.trace_json:
         dump_json(document, args.trace_json)
@@ -855,30 +825,24 @@ def command_dot(args: argparse.Namespace) -> int:
 
 
 def command_refresh(args: argparse.Namespace) -> int:
-    from repro.resilience import FaultPolicy, ResilienceConfig, RetryPolicy
-    from repro.warehouse import DataWarehouse
+    from repro.resilience import ResilienceConfig, RetryPolicy
+    from repro.simulation import build, delta_slice, fault_scheduler, hot_relations
 
     if args.scale <= 0:
         raise ReproError(f"--scale must be positive: {args.scale}")
     workload, rows = resolve_workload_rows(args, args.scale)
-    warehouse = DataWarehouse.from_workload(workload)
-    warehouse.design(design_config(args))
-    for relation, relation_rows in rows.items():
-        warehouse.load(relation, relation_rows)
-    warehouse.materialize()
-    injector = None
-    if args.failure_rate > 0:
-        injector = warehouse.attach_faults(
-            FaultPolicy(storage_failure_rate=args.failure_rate, seed=args.seed)
-        )
-    config = ResilienceConfig(
-        retry=RetryPolicy(max_attempts=args.max_attempts), seed=args.seed
+    warehouse = build(workload, rows, design_config(args))
+    injector, scheduler = fault_scheduler(
+        warehouse,
+        args.seed,
+        args.failure_rate or None,
+        ResilienceConfig(
+            retry=RetryPolicy(max_attempts=args.max_attempts), seed=args.seed
+        ),
     )
-    scheduler = warehouse.scheduler(config, injector=injector)
     # Make the views stale so the refreshes do real work.
-    target = max(rows, key=lambda name: (workload.update_frequency(name), name))
-    delta = rows[target][: max(1, len(rows[target]) // 100)]
-    warehouse.apply_update(target, delta, policy="defer")
+    target = hot_relations(workload, rows)[0]
+    warehouse.apply_update(target, delta_slice(rows, target, 100), policy="defer")
 
     outcomes = scheduler.refresh_all()
     print(f"resilient refresh on {workload.name} "
@@ -899,218 +863,107 @@ def command_refresh(args: argparse.Namespace) -> int:
     return 0 if not stale else 1
 
 
-def command_simulate(args: argparse.Namespace) -> int:
-    if args.drift:
-        return _simulate_drift(args)
-    if getattr(args, "shards", 0):
-        return _simulate_sharding(args)
-
-    from repro.resilience import simulate_faults
-
+def _lifecycle_rows(args: argparse.Namespace):
+    """The workload and rows a lifecycle scenario runs on, after checking
+    the flags every warehouse-backed scenario shares."""
     if args.rounds < 1:
         raise ReproError(f"--rounds must be >= 1: {args.rounds}")
     if args.scale <= 0:
         raise ReproError(f"--scale must be positive: {args.scale}")
+    return resolve_workload_rows(args, args.scale)
+
+
+def _failure_rate(args: argparse.Namespace) -> float:
     failure_rate = args.failure_rate if args.faults else 0.0
     if not 0.0 <= failure_rate <= 1.0:
         raise ReproError(f"--failure-rate must be in [0, 1]: {failure_rate}")
-    workload, rows = resolve_workload_rows(args, args.scale)
-    result = simulate_faults(
-        failure_rate=failure_rate,
-        seed=args.seed,
-        rounds=args.rounds,
-        workload=workload,
-        rows=rows,
-    )
-    if args.format == "json":
-        print(json.dumps(result.to_dict(), indent=2))
-        return 0 if result.ok else 1
-    document = result.to_dict()
-    print(f"simulated {result.rounds} rounds on {result.workload} "
-          f"(failure rate {failure_rate:g}, seed {result.seed}):")
-    refreshes = document["refreshes"]
-    print(f"  refreshes: {refreshes['succeeded']} ok / "
-          f"{refreshes['failed']} failed / {refreshes['skipped']} skipped "
-          f"({refreshes['retries']} retries over {refreshes['attempted']} attempts)")
-    print(f"  faults injected: {result.faults_injected.get('storage_faults', 0):g} "
-          f"storage, {result.faults_injected.get('comm_faults', 0):g} comm")
-    queries = document["queries"]
-    print(f"  queries: {queries['fresh']} fresh / {queries['stale']} stale / "
-          f"{queries['degraded']} degraded "
-          f"({queries['consistency_violations']} consistency violations)")
-    print(f"  converged: {result.converged} "
-          f"(epochs {result.final_epochs}, {result.final_ticks:.1f} ticks)")
-    return 0 if result.ok else 1
+    return failure_rate
+
+
+def _emit(report, output_format: str) -> int:
+    """Print a lifecycle report in the requested format; 0 iff it is ok."""
+    print(report.to_json() if output_format == "json" else report.render_text())
+    return report.exit_code
+
+
+def command_simulate(args: argparse.Namespace) -> int:
+    from repro import simulation
+
+    selectors = [
+        flag
+        for flag, value in (
+            ("--faults", args.faults),
+            ("--shards", args.shards),
+            ("--drift", args.drift),
+        )
+        if value
+    ]
+    if len(selectors) > 1:
+        raise ReproError(f"choose one scenario, not {' and '.join(selectors)}")
+    config = design_config(args)
+    if args.drift:
+        report = simulation.drift(
+            resolve_workload(args),
+            config,
+            windows_per_phase=args.windows_per_phase,
+            stationary=args.stationary,
+        )
+    elif args.shards:
+        if args.shards < 1:
+            raise ReproError(f"--shards must be >= 1: {args.shards}")
+        if args.replicas < 1:
+            raise ReproError(f"--replicas must be >= 1: {args.replicas}")
+        workload, rows = _lifecycle_rows(args)
+        report = simulation.shards(
+            workload, rows, config, shards=args.shards, replication=args.replicas
+        )
+    else:
+        workload, rows = _lifecycle_rows(args)
+        report = simulation.faults(
+            workload, rows, config, rounds=args.rounds,
+            failure_rate=_failure_rate(args),
+        )
+    return _emit(report, args.format)
 
 
 def command_stream(args: argparse.Namespace) -> int:
+    from repro import simulation
     from repro.cdc import DEFAULT_STREAMING_POLICY
-    from repro.cdc.simulate import simulate_streaming
 
-    if args.rounds < 1:
-        raise ReproError(f"--rounds must be >= 1: {args.rounds}")
-    if args.scale <= 0:
-        raise ReproError(f"--scale must be positive: {args.scale}")
-    failure_rate = args.failure_rate if args.faults else 0.0
-    if not 0.0 <= failure_rate <= 1.0:
-        raise ReproError(f"--failure-rate must be in [0, 1]: {failure_rate}")
-    overrides = {}
-    if args.max_lag is not None:
-        overrides["max_lag_records"] = args.max_lag
-    if args.coalesce is not None:
-        overrides["coalesce_records"] = args.coalesce
-    if args.retention is not None:
-        overrides["retention"] = args.retention
+    overrides = {
+        field: value
+        for field, value in (
+            ("max_lag_records", args.max_lag),
+            ("coalesce_records", args.coalesce),
+            ("retention", args.retention),
+        )
+        if value is not None
+    }
     policy = DEFAULT_STREAMING_POLICY
     if overrides:
         policy = policy.replace(**overrides)
-    workload, rows = resolve_workload_rows(args, args.scale)
-    result = simulate_streaming(
-        failure_rate=failure_rate,
-        seed=args.seed,
-        rounds=args.rounds,
-        policy=policy,
-        workload=workload,
-        rows=rows,
+    workload, rows = _lifecycle_rows(args)
+    report = simulation.stream(
+        workload, rows, design_config(args), rounds=args.rounds,
+        failure_rate=_failure_rate(args), policy=policy,
     )
-    if args.format == "json":
-        print(json.dumps(result.to_dict(), indent=2))
-        return 0 if result.ok else 1
-    document = result.to_dict()
-    print(f"streamed {result.rounds} rounds on {result.workload} "
-          f"(failure rate {failure_rate:g}, seed {result.seed}):")
-    changes = document["changes"]
-    print(f"  changes: {changes['appended']} appended "
-          f"({changes['inserts']} inserts / {changes['deletes']} deletes), "
-          f"{changes['dropped']} dropped")
-    drains = document["drains"]
-    print(f"  drains: {drains['total']} total "
-          f"({drains['backpressure']} from backpressure), "
-          f"{drains['coalesced']} records coalesced away")
-    print(f"  views: {drains['views_updated']} delta-updated / "
-          f"{drains['views_recomputed']} degraded to batch / "
-          f"{drains['views_failed']} failed")
-    print(f"  staleness: max {result.staleness_max} records "
-          f"(samples {result.staleness_samples})")
-    if result.faults_injected:
-        print(f"  faults injected: "
-              f"{result.faults_injected.get('storage_faults', 0):g} storage")
-    print(f"  consistency: {result.consistency_violations} violations, "
-          f"{result.partial_writes} partial writes")
-    print(f"  converged: {result.converged} "
-          f"({result.final_ticks:.1f} ticks, digest {result.digest})")
-    return 0 if result.ok else 1
-
-
-def _simulate_sharding(args: argparse.Namespace) -> int:
-    from repro.distributed.simulate import simulate_sharding
-
-    if args.shards < 1:
-        raise ReproError(f"--shards must be >= 1: {args.shards}")
-    if args.replicas < 1:
-        raise ReproError(f"--replicas must be >= 1: {args.replicas}")
-    if args.scale <= 0:
-        raise ReproError(f"--scale must be positive: {args.scale}")
-    workload, rows = resolve_workload_rows(args, args.scale)
-    result = simulate_sharding(
-        shards=args.shards,
-        replication=args.replicas,
-        seed=args.seed,
-        workload=workload,
-        rows=rows,
-    )
-    if args.format == "json":
-        print(json.dumps(result.to_dict(), indent=2))
-        return 0 if result.ok else 1
-    print(
-        f"sharded {result.workload} {result.shards} ways "
-        f"(replication {result.replication}, seed {result.seed}):"
-    )
-    for scheme in result.schemes:
-        print(f"  {scheme['relation']}: {scheme['kind']} on {scheme['key']}")
-    for report in result.queries:
-        print(
-            f"  {report['query']}: io {report['io_pruned']:g} pruned vs "
-            f"{report['io_unpruned']:g} unpruned "
-            f"({report['partitions_pruned']} partitions pruned)"
-        )
-    print(
-        f"  rows identical: {result.rows_identical}; selective queries "
-        f"read strictly fewer blocks: {result.pruning_wins} "
-        f"({result.selective_queries} selective)"
-    )
-    print(
-        f"  refresh: affected shards only={result.refresh_affected_only}, "
-        f"bit-identical across workers {list(result.refresh_workers)}="
-        f"{result.refresh_identical}"
-    )
-    return 0 if result.ok else 1
-
-
-def _simulate_drift(args: argparse.Namespace) -> int:
-    from repro.adaptive import simulate_drift
-
-    result = simulate_drift(
-        seed=args.seed,
-        windows_per_phase=args.windows_per_phase,
-        stationary=args.stationary,
-        workload=resolve_workload(args),
-    )
-    if args.format == "json":
-        print(json.dumps(result.to_dict(), indent=2))
-    else:
-        print(result.describe())
-    if result.stationary:
-        # The control run passes only if the controller stayed put.
-        return 0 if result.accepted == 0 else 1
-    return (
-        0
-        if result.adaptive_beats_static and result.adaptive_beats_eager
-        else 1
-    )
+    return _emit(report, args.format)
 
 
 def command_adapt(args: argparse.Namespace) -> int:
-    from repro.adaptive import simulation_policy
-    from repro.warehouse import DataWarehouse
+    from repro.simulation import build, inverted_profile, replay_inversion
 
     if args.windows < 2:
         raise ReproError(f"--windows must be >= 2: {args.windows}")
     workload = resolve_workload(args)
-    config = design_config(args)
-    # One event per unit of design-time frequency (at least one), so the
-    # opening windows replay exactly what the designer expected.
-    base_counts = {
-        spec.name: max(1, int(round(spec.frequency)))
-        for spec in workload.queries
-    }
-    # The drifted profile swaps the hot set end-for-end: the busiest
-    # query inherits the rarest query's rate and vice versa.
-    ranked = sorted(base_counts, key=lambda name: (base_counts[name], name))
-    drifted_counts = {
-        name: base_counts[other]
-        for name, other in zip(ranked, reversed(ranked))
-    }
-    updates = sorted(workload.update_frequencies)
-    expected_events = sum(base_counts.values()) + len(updates)
-    policy = simulation_policy(float(expected_events))
-
-    warehouse = DataWarehouse.from_workload(workload)
-    warehouse.design(config.replace(adaptive=policy))
+    profile = inverted_profile(workload)
+    policy = profile[-1]
+    warehouse = build(
+        workload, {}, design_config(args).replace(adaptive=policy),
+        materialize=False,
+    )
     controller = warehouse.controller()
-
-    switch = args.windows // 2
-    for window in range(args.windows):
-        drifted = not args.stationary and window >= switch
-        counts = drifted_counts if drifted else base_counts
-        for name in sorted(counts):
-            for _ in range(counts[name]):
-                controller.note_query(name, 1.0)
-        for relation in updates:
-            controller.note_update(relation, 1.0)
-        controller.evaluate()
-
-    decisions = controller.history
+    decisions = replay_inversion(controller, profile, args.windows, args.stationary)
     accepted = sum(1 for decision in decisions if decision.accepted)
     if args.format == "json":
         document = {
@@ -1129,7 +982,7 @@ def command_adapt(args: argparse.Namespace) -> int:
     shape = (
         "stationary"
         if args.stationary
-        else f"hot set inverts at window {switch}"
+        else f"hot set inverts at window {args.windows // 2}"
     )
     print(
         f"adaptive replay on {workload.name}: {args.windows} windows "
@@ -1243,14 +1096,9 @@ def command_lint(args: argparse.Namespace) -> int:
 def command_calibrate(args: argparse.Namespace) -> int:
     from repro.obs.calibration import calibration_report
 
-    was_enabled = obs.enabled()
-    obs.enable(reset=True)
-    try:
+    with obs.recording():
         workload, _ = _run_instrumented_lifecycle(args, args.scale)
         report = calibration_report(obs.calibration().samples)
-    finally:
-        if not was_enabled:
-            obs.disable()
     if args.format == "json":
         document = {
             "workload": workload.name,

@@ -1,27 +1,13 @@
-"""End-to-end sharding simulation: pruning, replicas, partition refresh.
+"""Partition schemes derived from a workload's own predicates.
 
-The sharded counterpart of :mod:`repro.resilience.simulate`: build a
-warehouse, partition its base relations horizontally, and verify the
-three contracts the partition layer makes —
-
-* **pruning is sound and pays** — every query served through the pruned
-  path returns rows identical to the unpruned baseline, and queries with
-  a selective predicate on a partition key read *strictly fewer* blocks;
-* **refresh is partition-wise** — after an update batch, only the shards
-  the batch actually landed on are stale on co-partitioned views, and a
-  refresh touches exactly those;
-* **parallel refresh is deterministic** — refreshing with 1, 2 and 4
-  workers produces bit-identical view contents, measured I/O and epochs
-  (parallelism changes wall-clock, never results).
-
-Everything is seeded and runs on the logical tick clock, so two
-invocations with the same arguments produce the same result document.
+:func:`choose_schemes` picks each relation's partition key for the
+``shards`` scenario of :mod:`repro.simulation` (``repro simulate
+--shards``) and for ``repro design --shards``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 from repro.algebra import predicates as P
 from repro.algebra.expressions import ColumnRef, Comparison, Literal
@@ -32,86 +18,11 @@ from repro.distributed.partition import (
     range_bounds,
 )
 from repro.errors import DistributedError
-from repro.mvpp.config import DesignConfig
 from repro.sql.translator import parse_query
-from repro.storage.table import row_multiset
 from repro.workload.spec import Workload
 
-__all__ = ["ShardingSimulationResult", "choose_schemes", "simulate_sharding"]
+__all__ = ["choose_schemes"]
 
-
-def _json_safe(value: Any) -> Any:
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    if isinstance(value, Mapping):
-        return {str(k): _json_safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    return str(value)
-
-
-@dataclass(frozen=True)
-class ShardingSimulationResult:
-    """Outcome of one :func:`simulate_sharding` run."""
-
-    workload: str
-    seed: int
-    shards: int
-    replication: int
-    schemes: Tuple[Mapping[str, Any], ...]
-    queries: Tuple[Mapping[str, Any], ...]
-    rows_identical: bool
-    pruning_wins: bool
-    selective_queries: int
-    refresh_affected_only: bool
-    refresh_identical: bool
-    refresh_workers: Tuple[int, ...]
-    refreshed_shards: Tuple[str, ...]
-    stale_after_update: Mapping[str, Tuple[int, ...]] = field(
-        default_factory=dict
-    )
-    replica_reads: Mapping[str, int] = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        """Every contract held: sound pruning that pays, partition-wise
-        refresh, and worker-count-independent results."""
-        return (
-            self.rows_identical
-            and self.pruning_wins
-            and self.selective_queries > 0
-            and self.refresh_affected_only
-            and self.refresh_identical
-        )
-
-    def to_dict(self) -> Dict[str, Any]:
-        return _json_safe(
-            {
-                "workload": self.workload,
-                "seed": self.seed,
-                "shards": self.shards,
-                "replication": self.replication,
-                "schemes": list(self.schemes),
-                "queries": list(self.queries),
-                "rows_identical": self.rows_identical,
-                "pruning_wins": self.pruning_wins,
-                "selective_queries": self.selective_queries,
-                "refresh": {
-                    "affected_only": self.refresh_affected_only,
-                    "identical_across_workers": self.refresh_identical,
-                    "workers": list(self.refresh_workers),
-                    "refreshed_shards": list(self.refreshed_shards),
-                    "stale_after_update": dict(self.stale_after_update),
-                },
-                "replica_reads": dict(self.replica_reads),
-                "ok": self.ok,
-            }
-        )
-
-
-# ---------------------------------------------------------------------------
-# Scheme selection
-# ---------------------------------------------------------------------------
 
 def choose_schemes(
     workload: Workload,
@@ -151,30 +62,19 @@ def choose_schemes(
                     key = (leaf.name, resolved.name)
                     counts[key] = counts.get(key, 0) + 1
 
-    best: Dict[str, Tuple[int, str]] = {}
+    best: Dict[str, Tuple[int, bool, str]] = {}
     for (relation, column), count in counts.items():
-        values = [
-            _key_value(row, column) for row in rows.get(relation, ())
-        ]
-        numeric = bool(values) and all(
-            isinstance(v, (int, float)) and not isinstance(v, bool)
-            for v in values
-        )
         # Prefer more-often-constrained keys; break ties toward RANGE-able
         # (numeric) keys, then alphabetically for determinism.
-        rank = (count, 1 if numeric else 0, column)
-        if relation not in best or rank > (
-            best[relation][0],
-            1 if _is_numeric(rows, relation, best[relation][1]) else 0,
-            best[relation][1],
-        ):
-            best[relation] = (count, column)
+        rank = (count, _is_numeric(rows, relation, column), column)
+        if relation not in best or rank > best[relation]:
+            best[relation] = rank
 
     schemes: List[PartitionScheme] = []
     for relation in sorted(best):
-        column = best[relation][1]
-        values = [_key_value(row, column) for row in rows.get(relation, ())]
-        if values and _is_numeric(rows, relation, column):
+        _, numeric, column = best[relation]
+        if numeric:
+            values = [_key_value(row, column) for row in rows.get(relation, ())]
             try:
                 bounds = range_bounds(values, shards)
                 schemes.append(
@@ -218,215 +118,4 @@ def _is_numeric(
     return bool(values) and all(
         isinstance(v, (int, float)) and not isinstance(v, bool)
         for v in values
-    )
-
-
-# ---------------------------------------------------------------------------
-# Simulation
-# ---------------------------------------------------------------------------
-
-def _build_warehouse(
-    workload: Workload,
-    rows: Mapping[str, Sequence[Mapping[str, Any]]],
-    schemes: Sequence[PartitionScheme],
-    seed: int,
-    sites: Tuple[str, ...],
-    replication: int,
-):
-    from repro.warehouse import DataWarehouse
-
-    warehouse = DataWarehouse.from_workload(workload)
-    warehouse.design(DesignConfig(seed=seed))
-    for relation, relation_rows in rows.items():
-        warehouse.load(relation, relation_rows)
-    warehouse.enable_sharding(
-        schemes, sites=sites, replication=replication
-    )
-    return warehouse
-
-
-def _update_batch(
-    rows: Mapping[str, Sequence[Mapping[str, Any]]],
-    schemes: Sequence[PartitionScheme],
-) -> Tuple[str, List[Mapping[str, Any]]]:
-    """A deterministic delta that lands on a strict subset of shards.
-
-    Takes the partitioned relation with the most rows and re-inserts the
-    rows of its first non-empty shard bucket (capped), so the affected
-    shard set is known in advance and smaller than the full shard map.
-    """
-    target_scheme = max(
-        schemes, key=lambda s: (len(rows.get(s.relation, ())), s.relation)
-    )
-    relation = target_scheme.relation
-    buckets = target_scheme.split_rows(rows.get(relation, ()))
-    for shard in target_scheme.all_shards:
-        if buckets[shard]:
-            return relation, list(buckets[shard][:5])
-    raise DistributedError(f"no rows to update in {relation!r}")
-
-
-def simulate_sharding(
-    shards: int = 8,
-    replication: int = 2,
-    seed: int = 0,
-    workers: Sequence[int] = (1, 2, 4),
-    workload: Optional[Workload] = None,
-    rows: Optional[Mapping[str, Sequence[Mapping[str, Any]]]] = None,
-    scale: float = 0.02,
-) -> ShardingSimulationResult:
-    """Run the sharded-warehouse lifecycle and check its contracts.
-
-    Serves every workload query through the pruned and unpruned paths
-    (rows must match; selective queries must read strictly fewer
-    blocks), applies a shard-local update batch (only co-partitioned
-    shards may go stale), and refreshes partition-wise under each worker
-    count in ``workers`` on independently-built warehouses (results must
-    be bit-identical).
-    """
-    from repro import obs
-    from repro.workload import paper_rows, paper_workload
-
-    if workload is None:
-        workload = paper_workload()
-    if rows is None:
-        rows = paper_rows(scale=scale, seed=seed)
-    schemes = choose_schemes(workload, rows, shards)
-    sites = tuple(f"site{i}" for i in range(max(2, replication)))
-
-    warehouse = _build_warehouse(
-        workload, rows, schemes, seed, sites, replication
-    )
-
-    # ------------------------------------------------------- serve: pruning
-    query_reports: List[Mapping[str, Any]] = []
-    rows_identical = True
-    pruning_wins = True
-    selective = 0
-    for spec in workload.queries:
-        pruned = warehouse.serve(spec.name, prune=True)
-        unpruned = warehouse.serve(spec.name, prune=False)
-        identical = row_multiset(pruned.table.rows()) == row_multiset(
-            unpruned.table.rows()
-        )
-        rows_identical &= identical
-        is_selective = pruned.partitions_pruned > 0
-        if is_selective:
-            selective += 1
-            pruning_wins &= pruned.io.total < unpruned.io.total
-        query_reports.append(
-            {
-                "query": spec.name,
-                "rows": pruned.table.cardinality,
-                "io_pruned": pruned.io.total,
-                "io_unpruned": unpruned.io.total,
-                "partitions_read": {
-                    name: list(read)
-                    for name, read in pruned.partitions_read.items()
-                },
-                "partitions_pruned": pruned.partitions_pruned,
-                "rows_identical": identical,
-            }
-        )
-
-    # --------------------------------------------- update: affected shards
-    relation, delta = _update_batch(rows, schemes)
-    scheme = next(s for s in schemes if s.relation == relation)
-    affected = sorted(
-        dict.fromkeys(
-            scheme.shard_of(scheme.key_value(row)) for row in delta
-        )
-    )
-
-    def run_refresh(worker_count: int):
-        wh = _build_warehouse(
-            workload, rows, schemes, seed, sites, replication
-        )
-        wh.refresh_partitions(workers=worker_count)  # baseline: all fresh
-        wh.apply_update(relation, delta, policy="defer")
-        stale = {
-            view.name: tuple(wh.sharding.stale_shards(view))
-            for view in wh.sharding.shardable_views()
-        }
-        outcomes = wh.refresh_partitions(workers=worker_count)
-        fingerprint = {}
-        for view in wh.sharding.shardable_views():
-            for shard in wh.sharding.schemes[
-                wh.sharding.copartition_base(view)
-            ].all_shards:
-                name = f"{view.name}#{shard}"
-                if name in wh.database:
-                    fingerprint[name] = row_multiset(
-                        wh.database.table(name).rows()
-                    )
-        io = wh.database.io.snapshot()
-        return stale, outcomes, fingerprint, (io.reads, io.writes)
-
-    worker_counts = tuple(
-        sorted(dict.fromkeys(int(w) for w in workers))
-    ) or (1,)
-    baseline = None
-    refresh_identical = True
-    refresh_affected_only = True
-    stale_after_update: Dict[str, Tuple[int, ...]] = {}
-    refreshed_names: Tuple[str, ...] = ()
-    for worker_count in worker_counts:
-        stale, outcomes, fingerprint, io = run_refresh(worker_count)
-        refreshed = tuple(
-            sorted(o.view for o in outcomes if o.status == "refreshed")
-        )
-        # Co-partitioned views may only have shards from the update's
-        # landing set stale; unrelated views must stay fresh.
-        for view_name, stale_shards in stale.items():
-            if not set(stale_shards) <= set(affected):
-                refresh_affected_only = False
-        expected = tuple(
-            sorted(
-                f"{view_name}#{shard}"
-                for view_name, stale_shards in stale.items()
-                for shard in stale_shards
-            )
-        )
-        if refreshed != expected:
-            refresh_affected_only = False
-        if baseline is None:
-            baseline = (stale, fingerprint, io)
-            stale_after_update = stale
-            refreshed_names = refreshed
-        elif baseline != (stale, fingerprint, io):
-            refresh_identical = False
-
-    replica_reads: Dict[str, int] = {}
-    if obs.enabled():
-        for metric in obs.metrics().snapshot().get("counters", ()):
-            if metric.get("name") == "distributed.replica_reads":
-                site = metric.get("labels", {}).get("site", "?")
-                replica_reads[site] = replica_reads.get(site, 0) + int(
-                    metric.get("value", 0)
-                )
-
-    return ShardingSimulationResult(
-        workload=workload.name,
-        seed=seed,
-        shards=shards,
-        replication=replication,
-        schemes=tuple(
-            {
-                "relation": s.relation,
-                "key": s.key,
-                "kind": s.kind,
-                "shards": s.shards,
-            }
-            for s in schemes
-        ),
-        queries=tuple(query_reports),
-        rows_identical=rows_identical,
-        pruning_wins=pruning_wins,
-        selective_queries=selective,
-        refresh_affected_only=refresh_affected_only,
-        refresh_identical=refresh_identical,
-        refresh_workers=worker_counts,
-        refreshed_shards=refreshed_names,
-        stale_after_update=stale_after_update,
-        replica_reads=replica_reads,
     )

@@ -32,7 +32,8 @@ The span taxonomy and metric names are documented in
 from __future__ import annotations
 
 import os
-from typing import Any, Dict
+from contextlib import contextmanager
+from typing import Any, Dict, Iterator
 
 from repro.obs.calibration import (
     CalibrationLog,
@@ -76,6 +77,7 @@ __all__ = [
     "journal",
     "journal_event",
     "metrics",
+    "recording",
     "reset",
     "snapshot",
     "span",
@@ -130,6 +132,19 @@ def disable() -> None:
     _metrics = _NOOP_METRICS
     _journal = _NOOP_JOURNAL
     _calibration = _NOOP_CALIBRATION
+
+
+@contextmanager
+def recording() -> Iterator[None]:
+    """Collect from a clean slate inside the block; observability that
+    was off before it is switched off again afterwards."""
+    was_enabled = _enabled
+    enable(reset=True)
+    try:
+        yield
+    finally:
+        if not was_enabled:
+            disable()
 
 
 def reset() -> None:

@@ -92,33 +92,6 @@ class MacroConfig:
                 )
 
 
-def _workload_rows(name: str, scale: float, seed: int):
-    """A built-in workload plus synthetic rows at ``scale``."""
-    from repro.workload import (
-        GeneratorConfig,
-        StarConfig,
-        generate_workload,
-        paper_workload,
-        paper_workload_fig7,
-        star_workload,
-    )
-    from repro.workload.datagen import paper_rows, star_rows, synthetic_rows
-
-    if name == "paper":
-        return paper_workload(), paper_rows(scale=scale, seed=seed)
-    if name == "paper-fig7":
-        return paper_workload_fig7(), paper_rows(scale=scale, seed=seed)
-    if name == "star":
-        config = StarConfig(seed=seed)
-        return star_workload(config), star_rows(config, scale=scale, seed=seed)
-    if name == "synthetic":
-        generated = generate_workload(GeneratorConfig(seed=seed))
-        return generated.workload, synthetic_rows(
-            generated, scale=scale, seed=seed
-        )
-    raise ValueError(f"unknown macro workload {name!r}")
-
-
 class _PhaseRecorder:
     """Accumulates per-phase wall time, I/O deltas, and counts."""
 
@@ -143,18 +116,23 @@ class _PhaseRecorder:
 
 def run_macro(config: Optional[MacroConfig] = None) -> Dict[str, Any]:
     """Run the full macro suite and return its benchmark document."""
-    from repro.adaptive import simulation_policy
     from repro.mvpp.config import DesignConfig
+    from repro.simulation import (
+        delta_slice,
+        hot_relations,
+        inverted_profile,
+        load,
+        replay_inversion,
+        workload_rows,
+    )
     from repro.warehouse import DataWarehouse
 
     config = config or MacroConfig()
     config.validate()
     smoke = config.smoke or smoke_mode()
 
-    was_enabled = obs.enabled()
-    obs.enable(reset=True)
-    try:
-        workload, rows = _workload_rows(
+    with obs.recording():
+        workload, rows = workload_rows(
             config.workload, config.scale, config.seed
         )
         engine_kwargs = (
@@ -165,13 +143,8 @@ def run_macro(config: Optional[MacroConfig] = None) -> Dict[str, Any]:
 
         # Replay pacing mirrors `repro adapt`: one event per unit of
         # design-time frequency, hot set inverted in the second half.
-        base_counts = {
-            spec.name: max(1, int(round(spec.frequency)))
-            for spec in workload.queries
-        }
-        updates = sorted(workload.update_frequencies)
-        expected_events = sum(base_counts.values()) + len(updates)
-        policy = simulation_policy(float(expected_events))
+        profile = inverted_profile(workload)
+        policy = profile[-1]
 
         with recorder.phase("design") as bucket:
             result = warehouse.design(
@@ -181,12 +154,8 @@ def run_macro(config: Optional[MacroConfig] = None) -> Dict[str, Any]:
             bucket["vertices"] = float(len(result.mvpp))
 
         with recorder.phase("load") as bucket:
-            loaded = 0
-            for relation, relation_rows in sorted(rows.items()):
-                warehouse.load(relation, relation_rows)
-                loaded += len(relation_rows)
-            warehouse.materialize()
-            bucket["rows"] = float(loaded)
+            load(warehouse, dict(sorted(rows.items())))
+            bucket["rows"] = float(sum(len(r) for r in rows.values()))
 
         with recorder.phase("queries") as bucket:
             executed = 0
@@ -197,38 +166,20 @@ def run_macro(config: Optional[MacroConfig] = None) -> Dict[str, Any]:
             bucket["executed"] = float(executed)
 
         with recorder.phase("refresh") as bucket:
-            target = max(
-                rows,
-                key=lambda name: (workload.update_frequency(name), name),
+            target = hot_relations(workload, rows)[0]
+            warehouse.apply_update(
+                target, delta_slice(rows, target, 100), policy="defer"
             )
-            delta = rows[target][: max(1, len(rows[target]) // 100)]
-            warehouse.apply_update(target, delta, policy="defer")
             outcomes = warehouse.refresh_resilient()
             bucket["refreshed"] = float(sum(1 for o in outcomes if o.ok))
             bucket["failed"] = float(sum(1 for o in outcomes if not o.ok))
 
         with recorder.phase("drift") as bucket:
-            controller = warehouse.controller()
-            ranked = sorted(
-                base_counts, key=lambda name: (base_counts[name], name)
+            decisions = replay_inversion(
+                warehouse.controller(), profile, config.windows
             )
-            drifted_counts = {
-                name: base_counts[other]
-                for name, other in zip(ranked, reversed(ranked))
-            }
-            switch = config.windows // 2
-            accepted = 0
-            for window in range(config.windows):
-                counts = drifted_counts if window >= switch else base_counts
-                for name in sorted(counts):
-                    for _ in range(counts[name]):
-                        controller.note_query(name, 1.0)
-                for relation in updates:
-                    controller.note_update(relation, 1.0)
-                decision = controller.evaluate()
-                accepted += 1 if decision.accepted else 0
             bucket["decisions"] = float(config.windows)
-            bucket["accepted"] = float(accepted)
+            bucket["accepted"] = float(sum(d.accepted for d in decisions))
 
         metrics = obs.metrics().to_dict()
         latency = {
@@ -267,9 +218,6 @@ def run_macro(config: Optional[MacroConfig] = None) -> Dict[str, Any]:
             "metrics": metrics,
         }
         return document
-    finally:
-        if not was_enabled:
-            obs.disable()
 
 
 def validate_bench(document: Dict[str, Any]) -> List[str]:

@@ -11,9 +11,10 @@ north star):
   bounded exponential backoff + seeded jitter, per-view circuit
   breakers and freshness epochs, all over a logical tick clock;
 * :mod:`~repro.resilience.config` — the frozen configuration
-  dataclasses (also reachable as ``DesignConfig.resilience``);
-* :mod:`~repro.resilience.simulate` — the end-to-end seeded simulation
-  behind ``repro simulate --faults`` and the resilience test suite.
+  dataclasses (also reachable as ``DesignConfig.resilience``).
+
+The end-to-end seeded simulation behind ``repro simulate --faults`` is
+the ``faults`` scenario of :mod:`repro.simulation`.
 
 See ``docs/resilience.md`` for the failure model and the staleness
 contract.
@@ -42,7 +43,6 @@ from repro.resilience.scheduler import (
     RefreshOutcome,
     RefreshScheduler,
 )
-from repro.resilience.simulate import FaultSimulationResult, simulate_faults
 
 __all__ = [
     "BreakerPolicy",
@@ -51,7 +51,6 @@ __all__ = [
     "DEFAULT_RESILIENCE_CONFIG",
     "FaultInjector",
     "FaultPolicy",
-    "FaultSimulationResult",
     "FaultyTable",
     "FaultyTopology",
     "HALF_OPEN",
@@ -63,5 +62,4 @@ __all__ = [
     "RetryPolicy",
     "SCOPE_ALL",
     "SCOPE_MAINTENANCE",
-    "simulate_faults",
 ]

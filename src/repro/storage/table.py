@@ -120,18 +120,27 @@ class Table:
             return []
         if count_io:
             self.io.read_blocks(self.num_blocks)
-        kept: List[tuple] = []
+        # Match in stored order; stop once every wanted row is found.
+        columns = self._columns
+        remaining = sum(wanted.values())
+        positions: List[int] = []
         removed: List[tuple] = []
-        for stored in zip(*self._columns):
+        for position, stored in enumerate(zip(*columns)):
             if wanted.get(stored, 0) > 0:
                 wanted[stored] -= 1
+                positions.append(position)
                 removed.append(stored)
-            else:
-                kept.append(stored)
+                remaining -= 1
+                if not remaining:
+                    break
         if removed:
-            self._columns[:] = [list(values) for values in zip(*kept)] or [
-                [] for _ in self._columns
-            ]
+            # Delete in place: the column lists keep their identity (a
+            # FaultyTable proxy shares them), and no reader holds them
+            # across a write — results copy, and indexes and cached build
+            # sides are invalidated on every write.
+            for column in columns:
+                for position in reversed(positions):
+                    del column[position]
             if count_io:
                 self.io.write_blocks(
                     block_count(len(removed), self.blocking_factor)

@@ -9,12 +9,6 @@ from repro.warehouse.maintenance import (
 )
 from repro.warehouse.rewriter import rewrite_with_views
 from repro.warehouse.view import MaterializedView
-from repro.warehouse.simulation import (
-    SimulationConfig,
-    SimulationReport,
-    WarehouseSimulator,
-    simulate,
-)
 from repro.warehouse.warehouse import DataWarehouse, QueryProfile, ServedResult
 
 __all__ = [
@@ -27,10 +21,6 @@ __all__ = [
     "plan_migration",
     "RECOMPUTE",
     "RefreshReport",
-    "SimulationConfig",
-    "SimulationReport",
-    "WarehouseSimulator",
-    "simulate",
     "ViewMaintainer",
     "rewrite_with_views",
 ]

@@ -10,6 +10,7 @@ from repro.analysis.report import (
     strategy_table,
 )
 from repro.mvpp import strategies
+from repro.mvpp.config import DesignConfig
 from repro.mvpp.cost import MVPPCostCalculator
 
 
@@ -79,7 +80,7 @@ class TestDesignReport:
         from repro.analysis.report import design_report
         from repro.mvpp import design
 
-        result = design(workload, rotations=1)
+        result = design(workload, DesignConfig(rotations=1))
         text = design_report(result)
         assert "Chosen views" in text
         assert "Against the extremes" in text
@@ -91,7 +92,7 @@ class TestDesignReport:
         from repro.analysis.report import design_report
         from repro.mvpp import design
 
-        result = design(workload, rotations=1)
+        result = design(workload, DesignConfig(rotations=1))
         text = design_report(result)
         # The strategy table marks the cheapest row; it must be ours.
         marked = [l for l in text.splitlines() if l.rstrip().endswith("*")]

@@ -1,10 +1,10 @@
-"""Tests for workload-derived partition schemes and the sharding sim."""
+"""Tests for workload-derived partition schemes and the ``shards``
+lifecycle scenario."""
 
-import pytest
-
+from repro import simulation
 from repro.distributed.partition import HASH, RANGE
-from repro.distributed.simulate import choose_schemes, simulate_sharding
-from repro.errors import DistributedError
+from repro.distributed.simulate import choose_schemes
+from repro.mvpp.config import DesignConfig
 from repro.workload import paper_rows, paper_workload
 
 
@@ -41,14 +41,18 @@ class TestChooseSchemes:
 
 class TestSimulateSharding:
     def test_contracts_hold_end_to_end(self):
-        result = simulate_sharding(
-            shards=2, seed=3, scale=0.01, workers=(1, 2)
+        result = simulation.shards(
+            paper_workload(),
+            paper_rows(scale=0.01, seed=3),
+            DesignConfig(seed=3),
+            shards=2,
+            workers=(1, 2),
         )
+        document = result.document
         assert result.ok
-        assert result.rows_identical
-        assert result.pruning_wins
-        assert result.refresh_identical
-        assert result.refresh_affected_only
-        document = result.to_dict()
+        assert document["rows_identical"]
+        assert document["pruning_wins"]
+        assert document["refresh"]["identical_across_workers"]
+        assert document["refresh"]["affected_only"]
         assert document["ok"] is True
         assert document["shards"] == 2

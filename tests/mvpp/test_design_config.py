@@ -1,13 +1,11 @@
-"""The unified DesignConfig API: validation, registry, shims, protocol.
+"""The unified DesignConfig API: validation, registry, protocol.
 
 Exercises the four entry points that accept a config —
 ``repro.design()``, ``DataWarehouse.design()``, ``redesign()`` and the
-CLI — plus the legacy call shapes they keep alive behind
-DeprecationWarnings, the strategy registry, and the CostedResult
-protocol shared by StrategyResult and DesignResult.
+CLI — the retired pre-config call shapes (now a ``TypeError``), the
+strategy registry, and the CostedResult protocol shared by
+StrategyResult and DesignResult.
 """
-
-import warnings
 
 import pytest
 
@@ -15,7 +13,6 @@ import repro
 from repro import DesignConfig, DesignResult, StrategyResult, design
 from repro.errors import MVPPError
 from repro.mvpp import (
-    DEFAULT_DESIGN_CONFIG,
     CostedResult,
     MVPPCostCalculator,
     get_strategy,
@@ -23,7 +20,6 @@ from repro.mvpp import (
     strategies,
     strategy_names,
 )
-from repro.mvpp.config import coerce_design_config
 from repro.warehouse import DataWarehouse
 from repro.workload import paper_workload
 
@@ -72,24 +68,6 @@ class TestDesignConfig:
     def test_workers_zero_means_auto(self):
         config = DesignConfig(workers=0)
         assert config.parallel  # auto-sized pools are parallel
-
-
-class TestCoercion:
-    def test_no_legacy_returns_default(self):
-        assert coerce_design_config(None, {}) is DEFAULT_DESIGN_CONFIG
-
-    def test_config_passes_through(self):
-        config = DesignConfig(rotations=2)
-        assert coerce_design_config(config, {}) is config
-
-    def test_legacy_kwargs_warn_and_fold(self):
-        with pytest.warns(DeprecationWarning, match="rotations"):
-            config = coerce_design_config(None, {"rotations": 3})
-        assert config.rotations == 3
-
-    def test_unknown_kwargs_raise_type_error(self):
-        with pytest.raises(TypeError, match="bogus"):
-            coerce_design_config(None, {"bogus": 1})
 
 
 class TestStrategyRegistry:
@@ -149,34 +127,42 @@ class TestResultProtocol:
 
 
 class TestLegacyCallShapes:
-    """All four historical call shapes still work (with warnings)."""
+    """The pre-config call shapes are gone: each is a TypeError."""
 
     def test_design_legacy_kwargs(self, workload):
-        with pytest.warns(DeprecationWarning):
-            result = design(workload, rotations=2, push_down=True)
-        assert result.config.rotations == 2
+        with pytest.raises(TypeError):
+            design(workload, rotations=2, push_down=True)
 
     def test_design_positional_estimator(self, workload, estimator):
-        # design(workload, estimator) predates DesignConfig.
-        result = design(workload, estimator, rotations=1)
-        assert result.views
+        with pytest.raises(TypeError, match="DesignConfig"):
+            design(workload, estimator)
 
     def test_design_rejects_two_estimators(self, workload, estimator):
-        with pytest.raises(TypeError, match="two estimators"):
+        with pytest.raises(TypeError):
             design(workload, estimator, estimator=estimator)
 
     def test_warehouse_design_legacy(self):
         warehouse = DataWarehouse.from_workload(paper_workload())
-        with pytest.warns(DeprecationWarning):
-            result = warehouse.design(rotations=2)
-        assert result.views
+        with pytest.raises(TypeError):
+            warehouse.design(rotations=2)
 
     def test_warehouse_redesign_legacy(self):
         warehouse = DataWarehouse.from_workload(paper_workload())
         warehouse.design(DesignConfig(rotations=2))
-        with pytest.warns(DeprecationWarning):
-            plan = warehouse.redesign(rotations=2)
-        assert plan.is_noop
+        with pytest.raises(TypeError):
+            warehouse.redesign(rotations=2)
+
+    @pytest.mark.parametrize(
+        "method", ["query_plan", "execute", "explain", "profile"]
+    )
+    def test_old_shapes_raise_type_error(self, method):
+        """``use_views`` / ``freshness`` are keyword-only: the old
+        positional-bool shape no longer binds."""
+        warehouse = DataWarehouse.from_workload(paper_workload())
+        warehouse.design(DesignConfig(rotations=1))
+        with pytest.raises(TypeError):
+            getattr(warehouse, method)("Q1", True)
+        warehouse.explain("Q1", use_views=True)  # the keyword shape works
 
     def test_cli_flags_build_config(self):
         from repro.cli import build_parser, design_config
@@ -193,22 +179,6 @@ class TestLegacyCallShapes:
 
 
 class TestPositionalBoolShims:
-    def test_explain_positional_bool_warns(self):
-        warehouse = DataWarehouse.from_workload(paper_workload())
-        warehouse.design(DesignConfig(rotations=1))
-        with pytest.warns(DeprecationWarning, match="explain"):
-            with_views = warehouse.explain("Q1", True)
-        assert with_views == warehouse.explain("Q1", use_views=True)
-
-    def test_profile_positional_bool_warns(self):
-        warehouse = DataWarehouse.from_workload(paper_workload())
-        warehouse.design(DesignConfig(rotations=1))
-        with pytest.warns(DeprecationWarning, match="profile"):
-            try:
-                warehouse.profile("Q1", False)
-            except Exception:
-                pass  # no data loaded; only the shim warning is under test
-
     def test_execute_rejects_excess_positionals(self):
         warehouse = DataWarehouse.from_workload(paper_workload())
         with pytest.raises(TypeError):

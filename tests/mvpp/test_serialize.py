@@ -7,6 +7,7 @@ import pytest
 
 from repro.algebra.expressions import And, Not, Or, column, compare, literal
 from repro.errors import MVPPError
+from repro.mvpp.config import DesignConfig
 from repro.mvpp.serialize import (
     design_to_dict,
     expression_from_dict,
@@ -119,7 +120,7 @@ class TestDesignSerialization:
     def test_design_to_dict(self, workload, estimator):
         from repro.mvpp.generation import design
 
-        result = design(workload, estimator, rotations=1)
+        result = design(workload, DesignConfig(rotations=1), estimator=estimator)
         data = design_to_dict(result)
         json.dumps(data)
         assert data["materialized_names"] == list(result.materialized_names)

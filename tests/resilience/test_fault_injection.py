@@ -10,7 +10,6 @@ The acceptance contract for fault-tolerant refresh & serving:
 """
 
 import datetime
-import json
 
 import pytest
 
@@ -19,8 +18,9 @@ from repro.resilience import (
     OPEN,
     ResilienceConfig,
     RetryPolicy,
-    simulate_faults,
 )
+from repro import simulation
+from repro.mvpp.config import DesignConfig
 from repro.warehouse import DataWarehouse, ServedResult
 from repro.workload import paper_rows, paper_workload
 
@@ -28,6 +28,17 @@ from repro.workload import paper_rows, paper_workload
 @pytest.fixture(scope="module")
 def thirty_percent_run():
     return simulate_faults(failure_rate=0.3, seed=7, rounds=3)
+
+
+def simulate_faults(failure_rate, seed, rounds):
+    """The ``faults`` lifecycle scenario on paper-scale data."""
+    return simulation.faults(
+        paper_workload(),
+        paper_rows(scale=0.02, seed=seed),
+        DesignConfig(seed=seed),
+        rounds=rounds,
+        failure_rate=failure_rate,
+    )
 
 
 def make_warehouse(seed=7):
@@ -48,25 +59,28 @@ class TestConvergence:
     def test_converges_under_thirty_percent_failure_rate(
         self, thirty_percent_run
     ):
-        result = thirty_percent_run
-        assert result.converged
-        assert result.ok
-        assert result.refreshes_failed == 0 or result.refreshes_succeeded > 0
+        result = thirty_percent_run.document
+        refreshes = result["refreshes"]
+        assert result["converged"]
+        assert thirty_percent_run.ok
+        assert refreshes["failed"] == 0 or refreshes["succeeded"] > 0
         # Every view that went stale was refreshed back to fresh; views
         # not touched by the update keep epoch 0 (never needed a refresh).
-        assert any(epoch > 0 for epoch in result.final_epochs.values())
-        assert result.refreshes_succeeded >= result.rounds
+        assert any(epoch > 0 for epoch in result["final_epochs"].values())
+        assert refreshes["succeeded"] >= result["rounds"]
 
     def test_faults_actually_fired(self, thirty_percent_run):
-        stats = thirty_percent_run.faults_injected
+        stats = thirty_percent_run.document["faults_injected"]
         assert stats["storage_faults"] > 0
-        assert thirty_percent_run.refreshes_attempted > (
-            thirty_percent_run.refreshes_succeeded
+        refreshes = thirty_percent_run.document["refreshes"]
+        assert (
+            refreshes["attempted"] > refreshes["succeeded"]
         ), "30% failure rate should force at least one retry"
 
     def test_no_consistency_violations(self, thirty_percent_run):
-        assert thirty_percent_run.consistency_violations == 0
-        assert thirty_percent_run.queries_run == 3 * len(
+        queries = thirty_percent_run.document["queries"]
+        assert queries["consistency_violations"] == 0
+        assert queries["run"] == 3 * len(
             paper_workload().queries
         )
 
@@ -74,15 +88,11 @@ class TestConvergence:
 class TestDeterminism:
     def test_bit_identical_for_fixed_seed(self, thirty_percent_run):
         again = simulate_faults(failure_rate=0.3, seed=7, rounds=3)
-        assert json.dumps(again.to_dict(), sort_keys=True, default=str) == (
-            json.dumps(
-                thirty_percent_run.to_dict(), sort_keys=True, default=str
-            )
-        )
+        assert again.to_json() == thirty_percent_run.to_json()
 
     def test_different_seed_changes_trajectory(self, thirty_percent_run):
         other = simulate_faults(failure_rate=0.3, seed=8, rounds=3)
-        assert other.to_dict() != thirty_percent_run.to_dict()
+        assert other.document != thirty_percent_run.document
 
 
 class TestServingUnderFailure:

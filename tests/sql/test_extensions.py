@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ParseError
+from repro.mvpp.config import DesignConfig
 from repro.sql.ast_nodes import BooleanCondition, ComparisonCondition, NotCondition
 from repro.sql.parser import parse
 from repro.sql.translator import parse_query
@@ -154,5 +155,5 @@ class TestEndToEnd:
             statistics=workload.statistics,
             queries=queries,
         )
-        result = design(extended, rotations=1)
+        result = design(extended, DesignConfig(rotations=1))
         assert result.breakdown.total > 0

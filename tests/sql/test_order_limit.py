@@ -5,6 +5,7 @@ import pytest
 from repro.algebra.operators import Limit, Sort
 from repro.errors import AlgebraError, ParseError, TranslationError
 from repro.executor.engine import ExecutionEngine, load_database
+from repro.mvpp.config import DesignConfig
 from repro.sql.parser import parse
 from repro.sql.translator import parse_query
 from repro.workload.datagen import paper_rows
@@ -107,7 +108,7 @@ class TestOptimizerAndGeneration:
                 )
             ]
         )
-        result = design(replace(workload, queries=queries), rotations=1)
+        result = design(replace(workload, queries=queries), DesignConfig(rotations=1))
         result.mvpp.validate()
         q4_plan = result.mvpp.query_root("Q4").operator
         assert isinstance(q4_plan, Limit)

@@ -251,6 +251,61 @@ def test_column_read_charges_no_io():
     assert table.io.since(before).total == 0
 
 
+class TestDeleteInPlace:
+    """``delete_many`` removes only the matched positions."""
+
+    @staticmethod
+    def big_table(rows: int = 10_000) -> Table:
+        table = Table(SCHEMA, blocking_factor=10)
+        table.insert_many(
+            [{"k": i % 2500, "v": "abc"[i % 3], "x": float(i)} for i in range(rows)]
+        )
+        return table
+
+    def test_small_delete_keeps_every_column_list(self):
+        table = self.big_table()
+        hooked = []
+        table.write_hook = lambda op, rows: hooked.append((op, rows))
+        identities = [id(column) for column in table.columns()]
+        before = table.io.snapshot()
+        doomed = [
+            {"k": i % 2500, "v": "abc"[i % 3], "x": float(i)}
+            for i in (9000, 7, 4242, 8)
+        ]
+        removed = table.delete_many(doomed)
+        # Not rebuilt: the same list objects, four rows shorter.
+        assert [id(column) for column in table.columns()] == identities
+        assert table.cardinality == 9_996
+        # Stored order of the matches, one read per block scanned plus
+        # one write per block of removed rows, and the hook sees them.
+        assert [row["x"] for row in removed] == [7.0, 8.0, 4242.0, 9000.0]
+        io = table.io.since(before)
+        assert (io.reads, io.writes) == (1_000, 1)
+        assert hooked == [("delete", removed)]
+        remaining = {int(x) for x in table.columns()[2]}
+        assert sorted(set(range(10_000)) - remaining) == [7, 8, 4242, 9000]
+
+    def test_bag_semantics_first_occurrences(self):
+        table = Table(SCHEMA, blocking_factor=2)
+        table.insert_many([{"k": i % 3, "v": "a", "x": 0.0} for i in range(300)])
+        removed = table.delete_many(
+            [{"k": 1, "v": "a", "x": 0.0}] * 2 + [{"k": 9, "v": "a", "x": 0.0}]
+        )
+        assert len(removed) == 2  # the unmatched row is skipped
+        assert table.cardinality == 298
+        assert table.columns()[0][:6] == [0, 2, 0, 2, 0, 1]
+
+    def test_large_delete_matches_model(self):
+        table = self.big_table(400)
+        identities = [id(column) for column in table.columns()]
+        doomed = [row for row in table.rows() if row["k"] % 2 == 0]
+        expected = [row for row in table.rows() if row["k"] % 2 == 1]
+        removed = table.delete_many(doomed)
+        assert removed == doomed
+        assert table.rows() == expected
+        assert [id(column) for column in table.columns()] == identities
+
+
 class TestIndexProbes:
     """A probe builds only its matches and draws one fault decision."""
 

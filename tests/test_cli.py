@@ -210,7 +210,7 @@ class TestSimulateCommand:
         )
         out = capsys.readouterr().out
         assert "converged: True" in out
-        assert "0 consistency violations" in out
+        assert "consistency_violations: 0" in out
 
     def test_json_format_is_machine_readable(self, capsys):
         assert (
@@ -273,7 +273,7 @@ class TestSimulateDrift:
 
     def test_stationary_control_exits_zero(self, capsys):
         assert main(["simulate", "--drift", "--stationary", "--seed", "1"]) == 0
-        assert "stationary control" in capsys.readouterr().out
+        assert "stationary: True" in capsys.readouterr().out
 
     def test_json_format(self, capsys):
         assert (
@@ -458,8 +458,8 @@ class TestShardingSimulation:
             == 0
         )
         out = capsys.readouterr().out
-        assert "rows identical: True" in out
-        assert "affected shards only=True" in out
+        assert "rows_identical: True" in out
+        assert "affected_only: True" in out
 
     def test_json_format_reports_contracts(self, capsys):
         assert (
@@ -538,8 +538,8 @@ class TestStreamCommand:
         )
         out = capsys.readouterr().out
         assert "converged: True" in out
-        assert "0 violations" in out
-        assert "0 partial writes" in out
+        assert "consistency_violations: 0" in out
+        assert "partial_writes: 0" in out
 
     def test_faulted_json_is_machine_readable(self, capsys):
         assert (

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import WorkloadError, WorkloadWarning
+from repro.mvpp.config import DesignConfig
 from repro.workload import paper_workload
 from repro.workload.query_log import (
     FrequencyEstimate,
@@ -133,6 +134,6 @@ class TestApplyToWorkload:
         workload = paper_workload()
         estimate = FrequencyEstimate({"Q4": 20.0}, {}, 1.0)
         observed = apply_to_workload(workload, estimate)
-        result = design(observed, rotations=1)
+        result = design(observed, DesignConfig(rotations=1))
         for vertex in result.materialized:
             assert vertex.operator.base_relations() <= {"Order", "Customer"}

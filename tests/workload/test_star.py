@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import WorkloadError
+from repro.mvpp.config import DesignConfig
 from repro.sql.translator import parse_query
 from repro.workload.star_schema import StarConfig, star_workload
 
@@ -48,5 +49,5 @@ class TestStarWorkload:
         from repro.mvpp.generation import design
 
         workload = star_workload(StarConfig(num_dimensions=2, num_queries=3, seed=6))
-        result = design(workload, rotations=1)
+        result = design(workload, DesignConfig(rotations=1))
         assert result.breakdown.total > 0
