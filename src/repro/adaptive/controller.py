@@ -270,7 +270,6 @@ class AdaptiveController:
             self.config.replace(lint=False),
             estimator=self.warehouse.estimator,
             cost_model=self.warehouse.cost_model,
-            cache=self.warehouse.cost_cache if self.config.cache else None,
         )
         old_cost = self._installed_result.calculator.breakdown_with_frequencies(
             self._installed_result.materialized,

@@ -119,10 +119,6 @@ def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
         help="executor backend when --workers > 1 (default: auto)",
     )
     parser.add_argument(
-        "--no-cost-cache", action="store_true",
-        help="disable the shared cross-candidate cost cache",
-    )
-    parser.add_argument(
         "--strategy", default="heuristic", metavar="NAME",
         help="view-selection strategy (see `repro strategies`)",
     )
@@ -140,7 +136,6 @@ def design_config(args: argparse.Namespace) -> DesignConfig:
         rotations=args.rotations,
         workers=args.workers,
         executor=args.parallel,
-        cache=not args.no_cost_cache,
         seed=args.seed,
         engine=args.engine,
     )
@@ -518,12 +513,11 @@ def command_design(args: argparse.Namespace) -> int:
         f"maintenance={format_blocks(breakdown.maintenance)} "
         f"total={format_blocks(breakdown.total)}"
     )
-    if result.cache_stats is not None:
-        stats = result.cache_stats
-        print(
-            f"cost cache: {stats['hits']:g} hits / {stats['misses']:g} misses "
-            f"(hit ratio {stats['hit_ratio']:.0%}, {stats['size']:g} entries)"
-        )
+    stats = result.cache_stats
+    print(
+        f"cost cache: {stats['hits']:g} hits / {stats['misses']:g} misses "
+        f"(hit ratio {stats['hit_ratio']:.0%}, {stats['size']:g} entries)"
+    )
     sharding_doc = None
     if getattr(args, "shards", 0):
         sharding_doc = _design_sharding(args, workload, result)
@@ -1134,9 +1128,10 @@ def command_bench(args: argparse.Namespace) -> int:
         scale=args.scale,
         repeats=args.repeats,
         windows=args.windows,
-        seed=args.seed,
         smoke=args.smoke or smoke_mode(),
-        engine=args.engine,
+        queries=args.queries,
+        relations=args.relations,
+        design=design_config(args),
     )
     try:
         config.validate()

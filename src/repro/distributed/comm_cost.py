@@ -232,17 +232,6 @@ class DistributedCostCalculator(MVPPCostCalculator):
             )
         return total
 
-    def maintenance_cost(self, materialized: FrozenSet[int]) -> float:
-        total = 0.0
-        for vertex_id in sorted(materialized):  # id order: deterministic float sum
-            vertex = self.mvpp.vertex(vertex_id)
-            if vertex.is_leaf:
-                continue
-            total += self.refresh_trigger(vertex) * self._per_refresh_cost(
-                vertex
-            )
-        return total
-
     def weight(self, vertex: Vertex) -> float:
         if vertex.is_leaf:
             return 0.0

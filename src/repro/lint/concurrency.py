@@ -62,7 +62,7 @@ MUTATING_METHODS = {
 }
 
 #: Cache-owner attribute names whose write methods X103 guards.
-CACHE_ATTRS = {"cost_cache", "build_cache", "indexes"}
+CACHE_ATTRS = {"build_cache", "indexes"}
 
 #: Cache write methods (reads like ``lookup``/``get`` are always fine).
 CACHE_WRITE_METHODS = {"store", "invalidate", "ensure", "clear"}
@@ -70,13 +70,11 @@ CACHE_WRITE_METHODS = {"store", "invalidate", "ensure", "clear"}
 #: Module path suffixes allowed to write caches: the owners themselves
 #: plus the documented invalidation sites (docs/lint.md lists them).
 CACHE_SITE_SUFFIXES = (
-    "repro/mvpp/cost.py",           # CostCache owner
     "repro/executor/physical.py",   # BuildSideCache owner
     "repro/executor/indexes.py",    # IndexManager owner
     "repro/executor/engine.py",     # engine wires its own caches
-    "repro/warehouse/warehouse.py", # sync_statistics / load / update sites
+    "repro/warehouse/warehouse.py", # load / update sites
     "repro/resilience/scheduler.py",  # refresh commit invalidation
-    "repro/mvpp/generation.py",     # design-run cache ownership
     "repro/cdc/streaming.py",       # streaming delta commit invalidation
 )
 

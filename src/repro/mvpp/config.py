@@ -5,7 +5,7 @@ Historically the pipeline grew three divergent entry-point signatures —
 ``DataWarehouse.design(rotations, push_down)`` and the CLI's flag set.
 :class:`DesignConfig` replaces all of them: one frozen dataclass holding
 every design-time knob (selection strategy, candidate count, parallel
-workers, cost-cache toggle, seed), accepted by every entry point.
+workers, seed, ...), accepted by every entry point.
 
 :class:`CostedResult` is the common read protocol shared by
 :class:`~repro.mvpp.generation.DesignResult` and
@@ -39,8 +39,7 @@ class DesignConfig:
     :func:`repro.mvpp.strategies.strategy_names`); ``rotations`` caps the
     number of Figure-4 candidate MVPPs (``None`` = one per query);
     ``workers`` / ``executor`` control the parallel fan-out (``workers=1``
-    is serial, ``workers=0`` auto-sizes to the CPU count); ``cache``
-    toggles the shared :class:`~repro.mvpp.cost.CostCache`; ``seed``
+    is serial, ``workers=0`` auto-sizes to the CPU count); ``seed``
     feeds the randomized strategies (annealing, genetic).
 
     ``maintenance_trigger=None`` means "the caller's default" — plain
@@ -71,7 +70,6 @@ class DesignConfig:
     rotations: Optional[int] = None
     workers: int = 1
     executor: str = "auto"
-    cache: bool = True
     seed: int = 0
     maintenance_trigger: Optional[str] = None
     push_down: bool = True
@@ -144,7 +142,7 @@ class DesignConfig:
         return replace(self, **changes)
 
 
-#: The all-defaults config: Figure-9 heuristic, serial, cache on.
+#: The all-defaults config: Figure-9 heuristic, serial.
 DEFAULT_DESIGN_CONFIG = DesignConfig()
 
 

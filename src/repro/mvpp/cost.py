@@ -21,8 +21,9 @@ is the accounting used in the paper's worked example and Table 2.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Optional, Set, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, Mapping, Optional, Set, Tuple
 
 from repro.errors import MVPPError
 from repro.mvpp.graph import MVPP, Vertex, VertexKind
@@ -31,44 +32,53 @@ from repro.mvpp.graph import MVPP, Vertex, VertexKind
 PER_BASE = "per-base"  # Σ_{b∈Iv} fu(b) refreshes (Section 4.3 weight formula)
 PER_PERIOD = "per-period"  # max over bases: one refresh per update period
 
-#: Cache key: (subtree signature, materialized-descendant signatures).
-CacheKey = Tuple[str, FrozenSet[str]]
+#: Memo key: (structural id of a vertex, structural ids of the
+#: materialized vertices in its subtree, the vertex itself included).
+MemoKey = Tuple[int, FrozenSet[int]]
 
 
 class CostCache:
-    """Memoized subtree access costs, shared across MVPP candidates.
+    """One design's memo of subtree access costs, shared by its candidates.
 
-    The access cost of a vertex is fully determined by (a) the canonical
-    signature of its operator subtree and (b) which of that subtree's
-    vertices are materialized — given a fixed statistics catalog and
-    cost model.  Keying on ``(signature, frozenset(materialized subtree
-    signatures))`` therefore lets *different* candidate MVPPs of the same
-    design run share cost computations: the Figure-4 rotations produce
-    heavily overlapping DAGs, and the Figure-9 / refinement loops
-    re-cost the same subtrees under many materialization sets.
+    Under one design's statistics and cost model, a non-root vertex's
+    access cost is determined by its ordered plan structure and by which
+    of its vertices are materialized.  :meth:`structural_id` numbers each
+    distinct ``(operator class, Operator.parameters, ordered child ids)``
+    with a small int, so ``A ⋈ B`` and ``B ⋈ A`` (whose nested-loop costs
+    differ) get two ids, and the key ``(sid(v), {sid(u) : u ∈ M ∩ ({v} ∪
+    S*v)})`` is exact: a memoized cost is bit-identical to a memo-less
+    one, in every candidate MVPP that contains the same subtree.
 
-    Sharing contract: one cache per (statistics, cost model) pair.  The
-    warehouse owns a persistent instance and calls :meth:`invalidate`
-    whenever statistics change (``sync_statistics``); standalone
-    ``design()`` runs create a fresh cache per run.
-
-    Thread-safety: lookups/stores are plain dict operations (atomic
-    under the GIL) so the cache is safe to share across the thread
-    executor; the hit/miss counters may undercount slightly under
-    contention, which only affects reporting, never costs.  Process
-    workers get pickled per-process copies — cross-candidate sharing is
-    a serial/thread feature.
+    Lifetime: one per :func:`~repro.mvpp.generation.design` call, so no
+    entry goes stale and nothing is invalidated.  Thread-safety: every
+    operation is one dict operation or ``next()`` on a counter (atomic
+    under the GIL), so threads may share a memo and no two structures
+    share an id; the hit/miss counters may undercount under contention.
+    A process worker unpickles an empty memo (its ids would mean nothing
+    there, and an ``itertools.count`` cannot be pickled on every Python),
+    so it stays exact but shares nothing with its parent.
     """
 
-    __slots__ = ("_data", "hits", "misses", "invalidations")
+    __slots__ = ("_data", "_ids", "_next_id", "hits", "misses")
 
     def __init__(self) -> None:
-        self._data: Dict[CacheKey, float] = {}
+        self._data: Dict[MemoKey, float] = {}
+        self._ids: Dict[Tuple[Any, ...], int] = {}
+        self._next_id = itertools.count()
         self.hits = 0
         self.misses = 0
-        self.invalidations = 0
 
-    def lookup(self, key: CacheKey) -> Optional[float]:
+    def __reduce__(self) -> Tuple[type, Tuple[()]]:
+        return (CostCache, ())
+
+    def structural_id(self, structure: Tuple[Any, ...]) -> int:
+        """The small int naming ``structure`` in this memo."""
+        sid = self._ids.get(structure)
+        if sid is None:
+            sid = self._ids.setdefault(structure, next(self._next_id))
+        return sid
+
+    def lookup(self, key: MemoKey) -> Optional[float]:
         value = self._data.get(key)
         if value is None:
             self.misses += 1
@@ -76,13 +86,8 @@ class CostCache:
             self.hits += 1
         return value
 
-    def store(self, key: CacheKey, value: float) -> None:
+    def store(self, key: MemoKey, value: float) -> None:
         self._data[key] = value
-
-    def invalidate(self) -> None:
-        """Drop every entry (statistics or cost model changed)."""
-        self._data.clear()
-        self.invalidations += 1
 
     def __len__(self) -> int:
         return len(self._data)
@@ -100,30 +105,26 @@ class CostCache:
             "misses": self.misses,
             "hit_ratio": self.hit_ratio,
             "size": len(self._data),
-            "invalidations": self.invalidations,
         }
 
-    def publish(self, hits_before: int = 0, misses_before: int = 0) -> None:
-        """Export counter deltas to the :mod:`repro.obs` registry.
+    def publish(self) -> None:
+        """Export this design's counts to the :mod:`repro.obs` registry.
 
-        Increments ``cost_cache.hits`` / ``cost_cache.misses`` by the
-        activity since the given baseline and sets the
-        ``cost_cache.size`` / ``cost_cache.hit_ratio`` gauges.
+        Increments ``cost_cache.hits`` / ``cost_cache.misses`` and sets
+        the ``cost_cache.size`` / ``cost_cache.hit_ratio`` gauges.
         """
         from repro import obs
 
         registry = obs.metrics()
-        registry.counter("cost_cache.hits").inc(max(0, self.hits - hits_before))
-        registry.counter("cost_cache.misses").inc(
-            max(0, self.misses - misses_before)
-        )
+        registry.counter("cost_cache.hits").inc(self.hits)
+        registry.counter("cost_cache.misses").inc(self.misses)
         registry.gauge("cost_cache.size").set(len(self._data))
         registry.gauge("cost_cache.hit_ratio").set(self.hit_ratio)
         if obs.enabled():
             obs.journal_event(
                 "cost_cache.publish",
-                hits=max(0, self.hits - hits_before),
-                misses=max(0, self.misses - misses_before),
+                hits=self.hits,
+                misses=self.misses,
                 size=len(self._data),
             )
 
@@ -141,13 +142,17 @@ class CostBreakdown:
 
 
 class MVPPCostCalculator:
-    """Evaluates designs (sets of materialized vertices) over one MVPP."""
+    """Evaluates designs (sets of materialized vertices) over one MVPP.
+
+    ``memo`` shares subtree costs with a design's other candidates; the
+    results are bit-identical without it.
+    """
 
     def __init__(
         self,
         mvpp: MVPP,
         maintenance_trigger: str = PER_PERIOD,
-        cache: Optional[CostCache] = None,
+        memo: Optional[CostCache] = None,
     ):
         mvpp.require_annotation()
         if maintenance_trigger not in (PER_BASE, PER_PERIOD):
@@ -156,7 +161,9 @@ class MVPPCostCalculator:
             )
         self.mvpp = mvpp
         self.maintenance_trigger = maintenance_trigger
-        self.cache = cache
+        self.memo = memo
+        # vertex id -> structural id in ``memo``, filled on first lookup.
+        self._structural_ids: Dict[int, int] = {}
 
     # ------------------------------------------------------------------ cost
     def access_cost(self, vertex: Vertex, materialized: FrozenSet[int]) -> float:
@@ -164,8 +171,12 @@ class MVPPCostCalculator:
 
         If ``vertex`` itself is materialized this is the cost of scanning
         it; otherwise its operation cost plus the (recursive) cost of its
-        inputs.  Memoized per call via an explicit cache.
+        inputs.  A query root adds no operation of its own, so it costs
+        exactly what its result vertex costs.  Memoized per call via an
+        explicit cache.
         """
+        if vertex.is_root and vertex.vertex_id not in materialized:
+            vertex = self.mvpp.vertex(vertex.children[0])
         cache: Dict[int, float] = {}
         return self._access(vertex, materialized, cache)
 
@@ -175,10 +186,10 @@ class MVPPCostCalculator:
         cached = cache.get(vertex.vertex_id)
         if cached is not None:
             return cached
-        key: Optional[CacheKey] = None
-        if self.cache is not None and not vertex.is_leaf:
-            key = self._cache_key(vertex, materialized)
-            shared = self.cache.lookup(key)
+        key: Optional[MemoKey] = None
+        if self.memo is not None and vertex.kind is VertexKind.OPERATION:
+            key = self._memo_key(vertex, materialized)
+            shared = self.memo.lookup(key)
             if shared is not None:
                 # Per-call memo owned by access_cost(), not caller state.
                 cache[vertex.vertex_id] = shared  # lint: ignore[E203]
@@ -193,7 +204,7 @@ class MVPPCostCalculator:
                 for child in self.mvpp.children_of(vertex)
             )
         if key is not None:
-            self.cache.store(key, cost)
+            self.memo.store(key, cost)
         # Per-call memo owned by access_cost(), not caller state.
         cache[vertex.vertex_id] = cost  # lint: ignore[E203]
         return cost
@@ -240,24 +251,34 @@ class MVPPCostCalculator:
                 total += self._local_recompute_cost(child, materialized)
         return total
 
-    def _cache_key(
-        self, vertex: Vertex, materialized: FrozenSet[int]
-    ) -> CacheKey:
-        """Canonical shared-cache key for ``vertex`` under a design.
+    def _structural_id(self, vertex: Vertex) -> int:
+        """``vertex``'s structural id in the memo (its subtree's too)."""
+        ids = self._structural_ids
+        children = []
+        for child_id in vertex.children:
+            sid = ids.get(child_id)
+            if sid is None:
+                sid = self._structural_id(self.mvpp.vertex(child_id))
+            children.append(sid)
+        operator = vertex.operator
+        sid = self.memo.structural_id(
+            (type(operator), operator.parameters, tuple(children))
+        )
+        ids[vertex.vertex_id] = sid
+        return sid
 
-        Only materialized vertices *inside* the subtree can influence
-        its access cost, so the key narrows the materialized set to the
-        subtree closure ``{v} ∪ S*{v}`` and canonicalizes ids to operator
-        signatures — making the entry valid for any candidate MVPP that
-        contains an identical subtree.
-        """
-        relevant = {
-            self.mvpp.vertex(i).signature
-            for i in materialized & self.mvpp.descendants(vertex)
-        }
+    def _memo_key(self, vertex: Vertex, materialized: FrozenSet[int]) -> MemoKey:
+        """``vertex``'s exact memo key: its structural id and those of the
+        materialized vertices in ``{v} ∪ S*{v}``, the only ones that can
+        change its access cost."""
+        ids = self._structural_ids
+        own = ids.get(vertex.vertex_id)
+        if own is None:
+            own = self._structural_id(vertex)
+        relevant = [ids[i] for i in materialized & self.mvpp.descendants(vertex)]
         if vertex.vertex_id in materialized:
-            relevant.add(vertex.signature)
-        return (vertex.signature, frozenset(relevant))
+            relevant.append(own)
+        return (own, frozenset(relevant))
 
     def query_processing_cost(self, materialized: FrozenSet[int]) -> float:
         """``Σ fq(qi) · C(mv → ri)`` over all query roots."""
@@ -266,28 +287,43 @@ class MVPPCostCalculator:
             total += root.frequency * self.access_cost(root, materialized)
         return total
 
-    def maintenance_cost(self, materialized: FrozenSet[int]) -> float:
-        """``Σ fu · Cm(v)`` over materialized vertices (recompute).
-
-        Iterates in vertex-id order so the float sum is independent of
-        the set's hash order (bit-identical across runs and backends).
-        """
+    def maintenance_cost(
+        self,
+        materialized: FrozenSet[int],
+        update_frequencies: Optional[Mapping[str, float]] = None,
+    ) -> float:
+        """``Σ fu · Cm(v)``: each materialized vertex's refresh trigger
+        times :meth:`_per_refresh_cost`, in vertex-id order so the float
+        sum is bit-identical across runs and backends."""
         total = 0.0
         for vertex_id in sorted(materialized):
             vertex = self.mvpp.vertex(vertex_id)
             if vertex.is_leaf:
                 continue  # base relations carry no view-maintenance cost
-            total += self.refresh_trigger(vertex) * vertex.maintenance_cost
+            total += self.refresh_trigger(
+                vertex, update_frequencies
+            ) * self._per_refresh_cost(vertex)
         return total
 
-    def refresh_trigger(self, vertex: Vertex) -> float:
-        """How many refreshes per period ``vertex`` incurs if materialized."""
+    def _per_refresh_cost(self, vertex: Vertex) -> float:
+        """One refresh of a materialized ``vertex``: its recompute ``Cm``."""
+        return vertex.maintenance_cost
+
+    def refresh_trigger(
+        self,
+        vertex: Vertex,
+        update_frequencies: Optional[Mapping[str, float]] = None,
+    ) -> float:
+        """How many refreshes per period ``vertex`` incurs if materialized,
+        under ``update_frequencies`` (annotated ``fu`` where absent)."""
         bases = self.mvpp.base_relations_of(vertex)
         if not bases:
             return 0.0
+        live = update_frequencies or {}
+        frequencies = [live.get(b.name, b.frequency) for b in bases]
         if self.maintenance_trigger == PER_BASE:
-            return sum(b.frequency for b in bases)
-        return max(b.frequency for b in bases)
+            return sum(frequencies)
+        return max(frequencies)
 
     def breakdown(self, materialized: Iterable[Vertex]) -> CostBreakdown:
         """Full cost breakdown for a set of vertices to materialize."""
@@ -303,8 +339,8 @@ class MVPPCostCalculator:
     def breakdown_with_frequencies(
         self,
         materialized: Iterable[Vertex],
-        query_frequencies: Dict[str, float],
-        update_frequencies: Dict[str, float],
+        query_frequencies: Mapping[str, float],
+        update_frequencies: Mapping[str, float],
     ) -> CostBreakdown:
         """Re-weigh a design under frequencies other than the annotated ones.
 
@@ -325,24 +361,10 @@ class MVPPCostCalculator:
             frequency = query_frequencies.get(root.name, 0.0)
             if frequency:
                 query += frequency * self.access_cost(root, ids)
-        maintenance = 0.0
-        for vertex_id in sorted(ids):
-            vertex = self.mvpp.vertex(vertex_id)
-            if vertex.is_leaf:
-                continue
-            bases = self.mvpp.base_relations_of(vertex)
-            if not bases:
-                continue
-            frequencies = [
-                update_frequencies.get(base.name, base.frequency)
-                for base in bases
-            ]
-            if self.maintenance_trigger == PER_BASE:
-                trigger = sum(frequencies)
-            else:
-                trigger = max(frequencies)
-            maintenance += trigger * vertex.maintenance_cost
-        return CostBreakdown(query_processing=query, maintenance=maintenance)
+        return CostBreakdown(
+            query_processing=query,
+            maintenance=self.maintenance_cost(ids, update_frequencies),
+        )
 
     # ---------------------------------------------------------------- weight
     def weight(self, vertex: Vertex) -> float:
@@ -403,7 +425,7 @@ class MVPPCostCalculator:
                 self.access_cost(root, without_ids)
                 - self.access_cost(root, with_ids)
             )
-        delta -= self.refresh_trigger(vertex) * vertex.maintenance_cost
+        delta -= self.refresh_trigger(vertex) * self._per_refresh_cost(vertex)
         return delta
 
     # ----------------------------------------------------------------- utils

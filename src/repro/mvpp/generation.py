@@ -399,7 +399,7 @@ class DesignResult:
     calculator: MVPPCostCalculator
     candidates: List[MVPP]
     config: DesignConfig = field(default_factory=lambda: DEFAULT_DESIGN_CONFIG)
-    cache_stats: Optional[Dict[str, float]] = None
+    cache_stats: Dict[str, float] = field(default_factory=dict)
     lint_report: Optional[Any] = None  # LintReport when config.lint=True
 
     @property
@@ -433,8 +433,8 @@ def _evaluate_candidate(payload: Tuple[Any, ...]) -> Tuple[Tuple[str, ...], Cost
     """
     from repro.mvpp import strategies as strategy_registry
 
-    mvpp, trigger, config, cache = payload
-    calculator = MVPPCostCalculator(mvpp, trigger, cache=cache)
+    mvpp, trigger, config, memo = payload
+    calculator = MVPPCostCalculator(mvpp, trigger, memo=memo)
     strategy = strategy_registry.get_strategy(config.strategy)
     chosen = strategy(mvpp, calculator, config)
     breakdown = calculator.breakdown(chosen)
@@ -446,7 +446,6 @@ def design(
     config: Optional[DesignConfig] = None,
     estimator: Optional[CardinalityEstimator] = None,
     cost_model: CostModel = DEFAULT_COST_MODEL,
-    cache: Optional[CostCache] = None,
 ) -> DesignResult:
     """Generate candidate MVPPs, select views on each, keep the cheapest.
 
@@ -456,12 +455,13 @@ def design(
     configuration values.
 
     ``config.workers > 1`` fans the per-candidate Figure-9 selection
-    out on the configured executor; ``config.cache`` shares one
-    :class:`~repro.mvpp.cost.CostCache` across candidates (pass
-    ``cache`` to reuse a caller-owned instance, e.g. the warehouse's).
-    Results are bit-identical across worker counts and backends: tasks
-    are collected in candidate order and ties keep the earlier
-    candidate, exactly like the serial loop.
+    out on the configured executor.  The candidates share one
+    :class:`~repro.mvpp.cost.CostCache`, created here and dropped when
+    the call returns; its exact keys make every cost bit-identical to a
+    memo-less recomputation.  Its counts land in
+    ``DesignResult.cache_stats``.  Results are bit-identical across
+    worker counts and backends: tasks are collected in candidate order
+    and ties keep the earlier candidate, exactly like the serial loop.
 
     ``config.include_naive`` adds one more candidate beyond the paper's
     Figure-4 rotations: the MVPP obtained by interning each query's
@@ -483,12 +483,7 @@ def design(
 
     estimator = estimator or CardinalityEstimator(workload.statistics)
     trigger = config.resolved_trigger(PER_PERIOD)
-    if cache is None and config.cache:
-        cache = CostCache()
-    elif not config.cache:
-        cache = None
-    hits_before = cache.hits if cache is not None else 0
-    misses_before = cache.misses if cache is not None else 0
+    memo = CostCache()
 
     with obs.span(
         "generation.design",
@@ -504,16 +499,14 @@ def design(
                 build_from_workload(workload, estimator, cost_model)
             ]
         executor = resolve_executor(config.executor, config.workers)
-        payloads = [
-            (mvpp, trigger, config, cache) for mvpp in candidates
-        ]
+        payloads = [(mvpp, trigger, config, memo) for mvpp in candidates]
         evaluations = executor.map(_evaluate_candidate, payloads)
 
         best: Optional[DesignResult] = None
         for mvpp, (names, breakdown) in zip(candidates, evaluations):
             if best is not None and breakdown.total >= best.total_cost:
                 continue
-            calculator = MVPPCostCalculator(mvpp, trigger, cache=cache)
+            calculator = MVPPCostCalculator(mvpp, trigger)
             best = DesignResult(
                 mvpp=mvpp,
                 materialized=[mvpp.vertex_by_name(n) for n in names],
@@ -538,14 +531,13 @@ def design(
             report.publish()
             span.set(lint_diagnostics=len(report.diagnostics))
             report.raise_on_errors()
-        if cache is not None:
-            cache.publish(hits_before, misses_before)
-            best.cache_stats = cache.stats()
-            span.set(
-                cache_hits=cache.hits - hits_before,
-                cache_misses=cache.misses - misses_before,
-                cache_hit_ratio=cache.hit_ratio,
-            )
+        memo.publish()
+        best.cache_stats = memo.stats()
+        span.set(
+            cache_hits=memo.hits,
+            cache_misses=memo.misses,
+            cache_hit_ratio=memo.hit_ratio,
+        )
         span.set(
             chosen=best.mvpp.name,
             materialized=list(best.materialized_names),

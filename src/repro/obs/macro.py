@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional
 
 from repro import obs
+from repro.mvpp.config import DesignConfig
 
 __all__ = [
     "BENCH_SCHEMA_VERSION",
@@ -65,15 +66,30 @@ def smoke_mode() -> bool:
 
 @dataclass(frozen=True)
 class MacroConfig:
-    """Knobs for one macro-suite run."""
+    """Knobs for one macro-suite run.
+
+    ``queries`` / ``relations`` size the generated workloads (None: the
+    generators' defaults).  ``design`` configures the design phase and is
+    the one source of the run's seed (workload rows and randomized
+    strategies) and execution engine (None: the warehouse default).
+    """
 
     workload: str = "paper"
     scale: float = 0.01
     repeats: int = 3  # query-sweep repetitions
     windows: int = 4  # drift-replay observation windows
-    seed: int = 0
     smoke: bool = False
-    engine: Optional[str] = None  # None = the warehouse default
+    queries: Optional[int] = None
+    relations: Optional[int] = None
+    design: DesignConfig = DesignConfig()
+
+    @property
+    def seed(self) -> int:
+        return self.design.seed
+
+    @property
+    def engine(self) -> Optional[str]:
+        return self.design.engine
 
     def validate(self) -> None:
         if self.scale <= 0:
@@ -82,14 +98,6 @@ class MacroConfig:
             raise ValueError(f"repeats must be >= 1: {self.repeats}")
         if self.windows < 2:
             raise ValueError(f"windows must be >= 2: {self.windows}")
-        if self.engine is not None:
-            from repro.executor.engine import ENGINES
-
-            if self.engine not in ENGINES:
-                raise ValueError(
-                    f"unknown execution engine {self.engine!r}; "
-                    f"expected one of {ENGINES}"
-                )
 
 
 class _PhaseRecorder:
@@ -116,7 +124,6 @@ class _PhaseRecorder:
 
 def run_macro(config: Optional[MacroConfig] = None) -> Dict[str, Any]:
     """Run the full macro suite and return its benchmark document."""
-    from repro.mvpp.config import DesignConfig
     from repro.simulation import (
         delta_slice,
         hot_relations,
@@ -133,7 +140,8 @@ def run_macro(config: Optional[MacroConfig] = None) -> Dict[str, Any]:
 
     with obs.recording():
         workload, rows = workload_rows(
-            config.workload, config.scale, config.seed
+            config.workload, config.scale, config.seed, config.queries,
+            config.relations,
         )
         engine_kwargs = (
             {} if config.engine is None else {"engine": config.engine}
@@ -147,9 +155,7 @@ def run_macro(config: Optional[MacroConfig] = None) -> Dict[str, Any]:
         policy = profile[-1]
 
         with recorder.phase("design") as bucket:
-            result = warehouse.design(
-                DesignConfig(seed=config.seed, adaptive=policy)
-            )
+            result = warehouse.design(config.design.replace(adaptive=policy))
             bucket["views"] = float(len(warehouse.views))
             bucket["vertices"] = float(len(result.mvpp))
 
@@ -201,6 +207,12 @@ def run_macro(config: Optional[MacroConfig] = None) -> Dict[str, Any]:
                 "windows": config.windows,
                 "seed": config.seed,
                 "engine": config.engine or warehouse.engine.engine,
+                "queries": len(workload.queries),
+                "relations": len(workload.catalog),
+                "strategy": config.design.strategy,
+                "rotations": config.design.rotations,
+                "workers": config.design.workers,
+                "executor": config.design.executor,
             },
             "smoke": smoke,
             "phases": recorder.phases,

@@ -18,11 +18,14 @@ Backend selection:
 * ``serial`` — plain loop; the default when ``workers <= 1``.
 * ``thread`` — :class:`concurrent.futures.ThreadPoolExecutor`.  Safe
   for every task (closures, shared caches); CPU-bound pure-Python work
-  is still GIL-serialized, but a shared :class:`~repro.mvpp.cost.CostCache`
-  makes the fan-out pay through memoization rather than raw parallelism.
+  is still GIL-serialized, but the one per-design
+  :class:`~repro.mvpp.cost.CostCache` all candidates share makes the
+  fan-out pay through memoization rather than raw parallelism.
 * ``process`` — :class:`concurrent.futures.ProcessPoolExecutor`.  Real
   CPU parallelism; tasks and arguments must be picklable (module-level
-  functions), and in-memory caches are per-process.
+  functions), and in-memory caches are per-task copies: each candidate
+  gets its own copy of the design's cost memo, so nothing is shared and
+  the parent's memo counts stay zero.
 * ``auto`` — ``serial`` when ``workers <= 1``, else ``thread``.
 
 Per-``map`` task counts are exported through :mod:`repro.obs` as the

@@ -743,7 +743,6 @@ def drift(
         window_counts,
     )
     from repro.errors import AdaptiveError
-    from repro.mvpp.cost import CostCache
     from repro.mvpp.generation import design as run_design
     from repro.warehouse.evolution import cost_migration, plan_migration
     from repro.warehouse.view import MaterializedView
@@ -767,7 +766,6 @@ def drift(
     updates = sorted(initial.update_frequencies)
     events = sum(PHASE_A_PROFILE.get(q.name, 1) for q in initial.queries)
     policy = policy or simulation_policy(float(events + len(updates)))
-    cache = CostCache()
     windows = windows_per_phase * 3
 
     def installed(result) -> List[MaterializedView]:
@@ -783,11 +781,11 @@ def drift(
             if v.stats is not None
         }
 
-    static = run_design(initial, config, cache=cache)
+    static = run_design(initial, config)
     controller = build(
         initial, {}, config.replace(adaptive=policy), materialize=False
     ).controller(policy=policy)
-    eager_result = run_design(initial, config, cache=cache)
+    eager_result = run_design(initial, config)
     eager_views = installed(eager_result)
     eager_blocks = stored_blocks(eager_result)
     variants = {
@@ -849,7 +847,7 @@ def drift(
                 periods=1.0,
             ),
         )
-        new_result = run_design(observed, config, cache=cache)
+        new_result = run_design(observed, config)
         plan = cost_migration(
             plan_migration(eager_views, installed(new_result)),
             access_costs={

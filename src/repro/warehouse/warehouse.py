@@ -33,12 +33,7 @@ from repro.executor.engine import (
     VECTORIZED,
 )
 from repro.mvpp.config import DEFAULT_DESIGN_CONFIG, DesignConfig
-from repro.mvpp.cost import (
-    CostBreakdown,
-    CostCache,
-    MVPPCostCalculator,
-    PER_PERIOD,
-)
+from repro.mvpp.cost import CostBreakdown, MVPPCostCalculator, PER_PERIOD
 from repro.mvpp.generation import DesignResult, design as run_design
 from repro.optimizer.cardinality import CardinalityEstimator
 from repro.optimizer.cost_model import CostModel, DEFAULT_COST_MODEL
@@ -136,9 +131,6 @@ class DataWarehouse:
         self.maintainer = ViewMaintainer(self.database, self.engine)
         self._queries: List[QuerySpec] = []
         self._update_frequencies: Dict[str, float] = {}
-        # Shared subtree-cost memo, reused across design()/redesign()
-        # runs; invalidated whenever statistics change (sync_statistics).
-        self.cost_cache = CostCache()
         self._design: Optional[DesignResult] = None
         self._views: List[MaterializedView] = []
         # Freshness tracking: base-relation versions bump on every load
@@ -248,7 +240,6 @@ class DataWarehouse:
             config,
             estimator=self.estimator,
             cost_model=self.cost_model,
-            cache=self.cost_cache if config.cache else None,
         )
         self._design = result
         self._views = [self._view_from_vertex(vertex) for vertex in result.materialized]
@@ -391,17 +382,12 @@ class DataWarehouse:
         return registered
 
     def sync_statistics(self) -> None:
-        """Overwrite registered relation statistics with loaded actuals.
-
-        Invalidates the shared cost cache: every memoized subtree cost
-        was computed against the superseded statistics.
-        """
+        """Overwrite registered relation statistics with loaded actuals."""
         for name in self.database.table_names:
             table = self.database.table(name)
             if name in self.catalog:
                 self.statistics.set_relation(name, table.cardinality, table.num_blocks)
         self.estimator = CardinalityEstimator(self.statistics)
-        self.cost_cache.invalidate()
 
     def materialize(self) -> List[RefreshReport]:
         """Compute and store every designed view."""
@@ -888,7 +874,6 @@ class DataWarehouse:
             config,
             estimator=self.estimator,
             cost_model=self.cost_model,
-            cache=self.cost_cache if config.cache else None,
         )
         return self.install_design(result)
 

@@ -8,20 +8,24 @@ from repro.distributed.partition import PartitionScheme
 from repro.distributed.sharding import ShardCatalog
 from repro.distributed.sites import Topology
 from repro.errors import DistributedError
+from repro.mvpp import design
 from repro.mvpp.cost import MVPPCostCalculator
 from repro.mvpp.materialization import select_views
+
+
+PLACEMENT = {
+    "Product": "s1",
+    "Division": "s1",
+    "Order": "s2",
+    "Customer": "s2",
+    "Part": "s1",
+}
 
 
 @pytest.fixture()
 def setup(paper_mvpp):
     topology = Topology(["wh", "s1", "s2"], default_link_cost=2.0)
-    placement = {
-        "Product": "s1",
-        "Division": "s1",
-        "Order": "s2",
-        "Customer": "s2",
-        "Part": "s1",
-    }
+    placement = dict(PLACEMENT)
     calculator = DistributedCostCalculator(
         paper_mvpp, topology, placement, warehouse_site="wh"
     )
@@ -82,6 +86,25 @@ class TestCosting:
         assert distributed.maintenance_cost(
             frozenset({vertex.vertex_id})
         ) > centralized.maintenance_cost(frozenset({vertex.vertex_id}))
+
+    def test_annotated_frequencies_reweigh_to_breakdown(self, workload):
+        """Re-weighing the paper design at its own annotated frequencies
+        changes nothing: the refresh keeps its lineage-transfer term."""
+        result = design(workload)
+        mvpp = result.mvpp
+        calculator = DistributedCostCalculator(
+            mvpp,
+            Topology(["wh", "s1", "s2"], default_link_cost=2.0),
+            PLACEMENT,
+            warehouse_site="wh",
+        )
+        reweighed = calculator.breakdown_with_frequencies(
+            result.materialized,
+            {root.name: root.frequency for root in mvpp.roots},
+            {leaf.name: leaf.frequency for leaf in mvpp.leaves},
+        )
+        assert reweighed == calculator.breakdown(result.materialized)
+        assert reweighed.maintenance > result.maintenance_cost
 
     def test_weight_grows_with_transfer(self, paper_mvpp, setup):
         """Materialization is *more* attractive when lineage is remote and

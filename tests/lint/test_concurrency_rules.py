@@ -117,19 +117,19 @@ class TestConcurrencyRules:
     def test_x103_cache_write_outside_known_sites(self):
         ctx = build(
             pkg__rogue="""
-                def tamper(calculator, key, value):
-                    calculator.cost_cache.store(key, value)
+                def tamper(engine, key, value):
+                    engine.build_cache.store(key, value)
             """,
         )
         report = lint_concurrency(ctx)
         assert rules_of(report) == ["X103"]
-        assert "cost_cache.store" in report.diagnostics[0].message
+        assert "build_cache.store" in report.diagnostics[0].message
 
     def test_x103_allows_registered_sites(self):
         ctx = build(
-            repro__mvpp__cost="""
+            repro__executor__physical="""
                 def owner(self, key, value):
-                    self.cost_cache.store(key, value)
+                    self.build_cache.store(key, value)
             """,
         )
         assert lint_concurrency(ctx).diagnostics == []

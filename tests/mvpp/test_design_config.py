@@ -31,7 +31,7 @@ class TestDesignConfig:
         assert config.rotations is None
         assert config.workers == 1
         assert config.executor == "auto"
-        assert config.cache is True
+        assert not hasattr(config, "cache")  # the memo has no switch
         assert not config.parallel
 
     def test_frozen(self):
@@ -169,11 +169,11 @@ class TestLegacyCallShapes:
 
         args = build_parser().parse_args(
             ["design", "--workers", "4", "--parallel", "thread",
-             "--no-cost-cache", "--strategy", "greedy"]
+             "--strategy", "greedy"]
         )
         config = design_config(args)
         assert config == DesignConfig(
-            strategy="greedy", workers=4, executor="thread", cache=False,
+            strategy="greedy", workers=4, executor="thread",
             engine="vectorized",
         )
 

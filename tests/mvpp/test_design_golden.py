@@ -5,8 +5,8 @@ The pinned values were captured before derived plan properties
 schema attribute names) were cached on the nodes; the design must stay
 bit-identical — same views, same ``repr`` of the total cost, same cost
 cache traffic, same candidate MVPPs — under the serial and the process
-executor.  Process workers receive pickled copies of the shared cost
-cache, so their hits and misses never reach the parent's counters.
+executor.  Process workers receive pickled copies of the design's cost
+memo, so their hits and misses never reach the parent's counters.
 """
 
 import hashlib
@@ -37,7 +37,7 @@ GOLDEN = {
             "tmp17", "tmp19", "tmp32", "tmp47", "tmp63",
         ),
         "total_cost": "753870294.3889999",
-        "cache": {"serial": (2208, 440), "process": (0, 0)},
+        "cache": {"serial": (2171, 543), "process": (0, 0)},
         "candidates": 24,
         "vertices": 2311,
     },
@@ -45,7 +45,7 @@ GOLDEN = {
         "chosen": "paper-example-mvpp2",
         "views": ("tmp3", "tmp15"),
         "total_cost": "10031605.4",
-        "cache": {"serial": (60, 56), "process": (0, 0)},
+        "cache": {"serial": (60, 42), "process": (0, 0)},
         "candidates": 4,
         "vertices": 94,
     },

@@ -442,6 +442,34 @@ class TestBenchCommand:
         assert main(["bench", "--suite", "macro", "--windows", "1"]) == 1
         assert "windows" in capsys.readouterr().err
 
+    def test_workload_and_design_flags_reach_the_design(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.warehouse import DataWarehouse
+
+        seen = []
+        design = DataWarehouse.design
+
+        def recording(self, config=None):
+            seen.append((len(self.workload.queries), config))
+            return design(self, config)
+
+        monkeypatch.setattr(DataWarehouse, "design", recording)
+        code, target = self._run(
+            tmp_path,
+            ["--workload", "star", "--queries", "3", "--seed", "2",
+             "--strategy", "greedy", "--rotations", "1"],
+        )
+        assert code == 0
+        queries, config = seen[0]
+        assert queries == 3
+        assert (config.strategy, config.rotations, config.seed) == (
+            "greedy", 1, 2,
+        )
+        recorded = json.loads(target.read_text())["config"]
+        assert (recorded["queries"], recorded["seed"]) == (3, 2)
+        assert (recorded["strategy"], recorded["rotations"]) == ("greedy", 1)
+
 
 class TestShardingSimulation:
     def test_sharded_lifecycle_passes(self, capsys):

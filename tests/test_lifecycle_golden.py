@@ -59,7 +59,7 @@ GOLDEN = {
     ("adapt", "--windows", "8", "--format", "json"):
         "ae9a07826ac3b2b981d74e690599ce6c102403f79b4d147e339a516f5537d3da",
     ("trace", "--events", *SCALE):
-        "5b8553cd91d1934e1d3e9f8cef77b37deec417c8cc0fb80af19c473309afe9e2",
+        "6f1f6846723a2576ef7f74421e5b9a2fd07c69f94e281f639b637dcac74078f5",
     ("refresh", "--failure-rate", "0.3", "--seed", "7", *SCALE):
         "55ec91901bb3e2ca372bb8a753b196955b66d58695244c46ae6c24ebb0252fdb",
     ("calibrate", *SCALE):
